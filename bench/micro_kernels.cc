@@ -2,22 +2,21 @@
  * @file
  * Per-kernel throughput: the SIMD layer measured in isolation.
  *
- * Times the hot kernels — fold-left dot, axpy, the sequence-tiled
- * bucket scatter (phase 1 of the compressed-domain FC), and the
- * packed-row decode (phase 0) — on every tier the host can run
- * (generic, avx2, avx512), and reports GB/s of streamed operands and
- * GFLOP/s of useful arithmetic. Bucket and decode are swept across B
- * in {2, 3, 4} (k = 2^B buckets): the bucket kernel's flop count per
- * element is fixed (one add per index per lane), so the sweep shows
- * how bucket-working-set size moves the scatter, not the flops. Tile
- * kernels run at their tier's seqTile width (8 generic/avx2, 16
- * avx512); each result row stamps that width, and bench_diff refuses
- * to compare rows whose widths differ.
+ * Times the hot kernels — fold-left dot, axpy, centroidFma (the
+ * quantized FC engine: one decoded index row against kFcRows
+ * activation rows, weights looked up in registers), and the packed-row
+ * decode that feeds it — on every tier the host can run (generic,
+ * avx2, avx512), and reports GB/s of streamed operands and GFLOP/s of
+ * useful arithmetic. centroidFma and decode are swept across B in
+ * {2, 3, 4} (k = 2^B centroids): the flop count per weight is fixed
+ * (one FMA per activation row), so the sweep shows what the lookup
+ * costs at each table size. Each result row stamps its tier's
+ * seqTile, and bench_diff refuses to compare rows whose stamps differ.
  *
  * Results go to BENCH_kernels.json (or --out PATH); the committed
  * baseline lives in bench/baseline/BENCH_kernels.json. Schema is in
- * EXPERIMENTS.md. Tier-to-tier speedup here is the microscopic view
- * of the micro_forward end-to-end win.
+ * EXPERIMENTS.md. The centroid_fma GFLOP/s rows are the per-tier
+ * roofline the per-layer qexec figures are read against.
  *
  * When hardware counters are available (obs/pmu.hh; GOBO_PMU governs
  * the backend) every timed loop is additionally bracketed with PMU
@@ -83,17 +82,22 @@ timeAxpy(const KernelSet &kn, const std::vector<float> &x,
 }
 
 double
-timeBucket(const KernelSet &kn, const std::vector<std::uint8_t> &irow,
-           const std::vector<float> &xt, std::vector<double> &bucket,
-           std::size_t k, std::size_t reps)
+timeCentroidFma(const KernelSet &kn, const std::vector<std::uint8_t> &irow,
+                const std::vector<float> &centroids,
+                const std::vector<float> &x, std::vector<float> &y,
+                std::size_t reps)
 {
-    std::size_t in = irow.size();
-    kn.bucketAccTile(irow.data(), in, xt.data(), bucket.data(), k);
+    std::size_t in = irow.size(), k = centroids.size();
+    auto call = [&] {
+        kn.centroidFma(irow.data(), in, centroids.data(), k, x.data(),
+                       in, kFcRows, 0.0f, nullptr, 0, y.data(), 1);
+    };
+    call(); // warm-up
     WallTimer timer;
     for (std::size_t r = 0; r < reps; ++r)
-        kn.bucketAccTile(irow.data(), in, xt.data(), bucket.data(), k);
+        call();
     double secs = timer.seconds();
-    g_sink += bucket[0];
+    g_sink += y[0];
     return secs;
 }
 
@@ -143,9 +147,12 @@ main(int argc, char **argv)
     if (const KernelSet *avx512 = avx512Kernels())
         tiers.push_back(avx512);
 
-    // Dense kernels at a BERT-base-like width; the bucket kernel at the
-    // hidden size (one weight row against one activation tile).
+    // Dense kernels at a BERT-base-like width; centroidFma at the
+    // hidden size (one weight row against kFcRows activation rows,
+    // which stay in L1 as they do in the engine); decode at the
+    // intermediate size.
     constexpr std::size_t kDenseN = 4096;
+    constexpr std::size_t kFcIn = 768;
     constexpr std::size_t kIn = 3072;
 
     Rng rng(seed);
@@ -153,10 +160,8 @@ main(int argc, char **argv)
     rng.fillGaussian(a, 0.0, 1.0);
     rng.fillGaussian(b, 0.0, 1.0);
     rng.fillGaussian(y, 0.0, 1.0);
-    // Activation tiles are sized for the widest tier; a tier's bucket
-    // kernel only reads the first seqTile lanes of each element.
-    std::vector<float> xt(kIn * kMaxSeqTile);
-    rng.fillGaussian(xt, 0.0, 1.0);
+    std::vector<float> fc_x(kFcRows * kFcIn), fc_y(kFcRows);
+    rng.fillGaussian(fc_x, 0.0, 1.0);
 
     std::printf("Micro-benchmark: kernel throughput (%zu reps, tiers:",
                 reps);
@@ -224,33 +229,32 @@ main(int argc, char **argv)
         const std::size_t tile = kn.seqTile;
         for (unsigned bits : {2u, 3u, 4u}) {
             std::size_t k = std::size_t{1} << bits;
-            std::vector<std::uint8_t> irow(kIn);
+            std::vector<std::uint8_t> irow(kFcIn);
             Rng irng(seed * 97 + bits);
             for (auto &v : irow)
                 v = static_cast<std::uint8_t>(
                     irng.integer(0, static_cast<int>(k) - 1));
-            std::vector<double> bucket(k * tile);
+            std::vector<float> centroids(k);
+            irng.fillGaussian(centroids, 0.0, 0.05);
             PmuSample t0 = pmu.threadSample();
-            double secs = timeBucket(kn, irow, xt, bucket, k,
-                                     reps / 4);
+            double secs =
+                timeCentroidFma(kn, irow, centroids, fc_x, fc_y, reps);
             PmuSample delta = pmu.threadSample().since(t0);
-            double calls = static_cast<double>(reps / 4);
-            // Streams the index row and the activation tile, plus the
-            // bucket working set (reads + writes, but it stays in L1).
+            double calls = static_cast<double>(reps);
+            // Streams the decoded index row and the activation rows.
             double bytes =
-                calls * (kIn * (1.0 + tile * sizeof(float))
-                         + 2.0 * k * tile * sizeof(double));
-            // One double add per (index, lane).
-            double flops = calls * kIn * tile;
-            results.push_back({"bucket_acc_tile", kn.name, bits, kIn,
+                calls * kFcIn * (1.0 + kFcRows * sizeof(float));
+            // One multiply + one add per (weight, activation row).
+            double flops = calls * 2.0 * kFcIn * kFcRows;
+            results.push_back({"centroid_fma", kn.name, bits, kFcIn,
                                tile, bytes / secs / 1e9,
                                flops / secs / 1e9});
             addRoofline(results.back(), delta, secs, flops);
         }
         for (unsigned bits : {2u, 3u, 4u}) {
-            // Packed-row decode: the phase-0 step of the compressed-
-            // domain FC. Bytes = packed input read + widened output
-            // written; no arithmetic, so GFLOP/s is 0 by construction.
+            // Packed-row decode, the step in front of centroidFma.
+            // Bytes = packed input read + widened output written; no
+            // arithmetic, so GFLOP/s is 0 by construction.
             std::vector<std::uint8_t> packed((kIn * bits + 7) / 8, 0);
             Rng drng(seed * 131 + bits);
             std::size_t mask = (std::size_t{1} << bits) - 1;

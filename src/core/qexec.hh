@@ -1,21 +1,24 @@
 /**
  * @file
- * Direct execution from the GOBO format — the compute scheme of the
- * paper's hardware architecture, in software.
+ * Direct execution from the GOBO format.
  *
- * Because 99.9% of a layer's weights take one of only 2^B values, an
- * FC output needs almost no multiplications:
+ * Because 99.9% of a layer's weights take one of only 2^B values, a
+ * weight is fully described by its B-bit index into a small centroid
+ * table, plus a sparse list of outlier corrections:
  *
- *   y_o = sum_i w_oi x_i
- *       = sum_k c_k * (sum_{i: idx_oi = k} x_i)  +  outlier corrections
+ *   y_o = bias_o + sum_i c[idx_oi] x_i  +  sum_outliers (w - c[idx]) x_i
  *
- * i.e. per output, accumulate the activations into 2^B buckets
- * (additions only, steered by the 3-bit indexes), then do 2^B
- * multiplies by the centroid table. Outliers contribute one extra
- * correction MAC each: (w - c_assigned) * x. The GOBO accelerator
- * builds exactly this datapath; QuantizedLinear reproduces its
- * arithmetic (bit-identical outputs up to FP reassociation) and counts
- * the operations so the multiplier-reduction claim can be measured.
+ * The paper's accelerator turns this into a bucket datapath: per
+ * output, add the activations into 2^B buckets steered by the
+ * indexes, then do 2^B multiplies by the table. opCounts() and the
+ * memsim model (obs/audit.hh) keep that datapath as the analytic
+ * model of the hardware. The software engine here instead treats the
+ * index decoder as a lookup in front of an ordinary MAC: the weight
+ * row stays in B-bit (or byte) form, each weight is looked up in
+ * registers right before its fused multiply-add, and the centroid
+ * table never leaves a vector register for B <= 4
+ * (KernelSet::centroidFma). That streams B/32 of the fp32 weight
+ * bytes at FMA speed, which is where the latency claim comes from.
  */
 
 #ifndef GOBO_CORE_QEXEC_HH
@@ -63,8 +66,8 @@ struct OpCounts
  * (B = 3), or a scalar two-byte window (B = 5..7); the avx512 tier
  * expands 64 indexes at a time in-register for B <= 6. Decode is
  * integer-exact, so every tier produces identical bytes, and both
- * formats feed the identical bucket/table/correction arithmetic —
- * outputs are bit-identical across formats and tiers.
+ * formats feed the identical centroidFma arithmetic — outputs are
+ * bit-identical across formats and tiers.
  */
 class QuantizedLinear
 {
@@ -79,23 +82,19 @@ class QuantizedLinear
                     std::string label = "qlinear");
 
     /**
-     * Forward pass via sequence-tiled per-centroid accumulation: the
-     * activations are transposed once into seqTile-lane tiles (the
-     * executing tier's width — 8 for generic/avx2, 16 for avx512),
-     * each weight row is decoded once, and the bucket/table/correction
-     * phases run vertically across the lanes through the context's
-     * kernel tier. x is [seq, in]. Parallelizes over a 2-D
-     * output-row-block × sequence-tile-block grid on the context's
-     * backend, with per-worker scratch arenas (exec/scratch.hh)
-     * holding the bucket accumulators and decoded packed rows — the
-     * hot path never allocates, and a worker that owns several tile
-     * blocks of one row block decodes that block once. Every y(s, o)
-     * is produced by exactly one grid cell and keeps the serial
-     * bucket/table/correction order (per lane, in double), so backends,
-     * weight formats, kernel tiers AND thread counts are all
-     * bit-identical here. When `counts` is non-null the operations
-     * actually performed are accumulated into it (each task counts
-     * locally, tasks are summed in index order).
+     * Forward pass: y = x * W^T + bias for x of shape [seq, in]. The
+     * layer's weight rows are split into blocks over a flop-gated
+     * 2-D grid (output-row blocks x groups of kFcRows activation
+     * rows) on the context's backend. A task takes its block's index
+     * rows — the Unpacked bytes directly, or Packed rows decoded once
+     * into the worker's scratch arena (exec/scratch.hh) — and runs the
+     * executing tier's KernelSet::centroidFma on up to kFcRows rows of
+     * x at a time, read in place (no transpose). Every y(s, o) is one
+     * centroidFma output in the canonical order of kernels/kernels.hh
+     * (16 fmaf partials, a fixed +8/+4/+2/+1 tree, bias, outlier
+     * fmafs), so backends, weight formats, kernel tiers, thread counts
+     * and grid shapes are all bit-identical. The hot path never
+     * allocates after warm-up.
      *
      * With an observer on the context, each call records one span
      * (named by `label`) plus qexec.* counters: rows decoded, weight
@@ -107,11 +106,16 @@ class QuantizedLinear
      * Instrumentation happens outside the kernel loops and never
      * touches float math.
      */
-    Tensor forward(const ExecContext &ctx, const Tensor &x,
-                   OpCounts *counts = nullptr) const;
+    Tensor forward(const ExecContext &ctx, const Tensor &x) const;
     Tensor forward(const Tensor &x) const;
 
-    /** Operations a forward pass at this sequence length performs. */
+    /**
+     * Operations the accelerator's bucket datapath performs for a
+     * forward at this sequence length: `in` bucket additions plus k
+     * table terms per output, k table multiplies per output, and one
+     * correction MAC per outlier. An analytic model (audit, memsim),
+     * not a count of what forward() executes.
+     */
     OpCounts opCounts(std::size_t seq) const;
 
     /** Operations the FP32 dense equivalent performs. */
@@ -157,9 +161,10 @@ class QuantizedLinear
     /** Unpacked per-weight centroid indexes, row-major (Unpacked only). */
     std::vector<std::uint8_t> indexes;
     /**
-     * One (column, correction) pair per outlier, grouped by row, in
-     * the kernel layer's layout (kernels/kernels.hh) so phase 3 can
-     * hand a row's slice straight to the outlier-correction kernel.
+     * One (column, correction) pair per outlier, grouped by row in
+     * ascending column order, in the kernel layer's layout
+     * (kernels/kernels.hh) so a row's slice goes straight to
+     * centroidFma.
      */
     std::vector<OutlierTerm> outliers;
     std::vector<std::uint32_t> outlierRowStart; ///< rows+1 offsets.

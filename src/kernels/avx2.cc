@@ -10,12 +10,12 @@
  * explicitly so NaN stays NaN and ±Inf behaves like the scalar libm
  * path.
  *
- * The bucket-tile kernels are different: they keep the scalar loop's
- * per-lane double arithmetic and order exactly (convert-then-add in
- * phase 1, multiply-then-add — deliberately NOT fmadd — in phases 2/3),
- * so the quantized FC output is bit-identical to the generic tier.
- * Vertical SIMD across sequence lanes never reassociates a per-lane
- * reduction.
+ * centroidFma is different: it keeps the canonical quantized-FC order
+ * of kernels.hh exactly — 16 float partials as two 8-lane halves, a
+ * masked tail, the fixed +8/+4/+2/+1 tree — so the quantized FC output
+ * is bit-identical to the generic tier. Weights are looked up in
+ * registers (vpermps for B <= 3, two vpermps and a blend for B = 4, an
+ * exact gather above) and never stored as floats.
  *
  * This file is compiled with -mavx2 -mfma on x86-64 builds only; on
  * other targets (or compilers without AVX2) it degrades to a stub that
@@ -28,8 +28,11 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
+#include <utility>
 
 namespace gobo {
 
@@ -307,76 +310,129 @@ tanhRowAvx2(float *row, std::size_t n)
         row[i] = std::tanh(row[i]);
 }
 
-static_assert(kSeqTile == 8,
-              "the AVX2 bucket-tile kernels hard-code 8 lanes "
-              "(2 x 4 doubles)");
-
-void
-bucketAccTileAvx2(const std::uint8_t *irow, std::size_t in,
-                  const float *xT, double *bucket, std::size_t k)
+/** Lanes [0, n) of an 8-lane maskload/blend mask. */
+inline __m256i
+firstLanes(std::size_t n)
 {
-    const __m256d zero = _mm256_setzero_pd();
-    for (std::size_t c = 0; c < k; ++c) {
-        _mm256_storeu_pd(bucket + c * kSeqTile, zero);
-        _mm256_storeu_pd(bucket + c * kSeqTile + 4, zero);
+    return _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(n)),
+                              _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+}
+
+/**
+ * Canonical steps 2-4 for one activation row: partials 0-7 sit in
+ * `lo` and 8-15 in `hi`, so lo + hi is the +8 step; then +4, +2, +1,
+ * the bias, and the outlier FMAs in order.
+ */
+inline float
+finishRow(__m256 lo, __m256 hi, float bias, const OutlierTerm *terms,
+          std::size_t nterms, const float *xr)
+{
+    __m256 s8 = _mm256_add_ps(lo, hi);
+    __m128 s4 = _mm_add_ps(_mm256_castps256_ps128(s8),
+                           _mm256_extractf128_ps(s8, 1));
+    __m128 s2 = _mm_add_ps(s4, _mm_movehl_ps(s4, s4));
+    __m128 s1 = _mm_add_ss(s2, _mm_shuffle_ps(s2, s2, 1));
+    float acc = _mm_cvtss_f32(s1) + bias;
+    for (std::size_t t = 0; t < nterms; ++t)
+        acc = std::fmaf(terms[t].correction, xr[terms[t].column], acc);
+    return acc;
+}
+
+/**
+ * R activation rows against one index row, 16 columns per step as two
+ * 8-lane halves (the 16 canonical partials). The tail step loads only
+ * live indexes and activations, and blends the FMA result into live
+ * lanes only, so lanes past `in` keep their partials.
+ */
+template <std::size_t R, class Lookup>
+inline void
+centroidFmaRows(const std::uint8_t *irow, std::size_t in,
+                const Lookup &lookup, const float *x, std::size_t ldx,
+                float bias, const OutlierTerm *terms,
+                std::size_t nterms, float *y, std::size_t ldy)
+{
+    __m256 lo[R], hi[R];
+    for (std::size_t r = 0; r < R; ++r)
+        lo[r] = hi[r] = _mm256_setzero_ps();
+    std::size_t i = 0;
+    for (; i + 16 <= in; i += 16) {
+        __m128i b = _mm_loadu_si128(
+            reinterpret_cast<const __m128i *>(irow + i));
+        __m256 wl = lookup(_mm256_cvtepu8_epi32(b));
+        __m256 wh = lookup(_mm256_cvtepu8_epi32(_mm_srli_si128(b, 8)));
+        for (std::size_t r = 0; r < R; ++r) {
+            const float *xr = x + r * ldx + i;
+            lo[r] = _mm256_fmadd_ps(wl, _mm256_loadu_ps(xr), lo[r]);
+            hi[r] = _mm256_fmadd_ps(wh, _mm256_loadu_ps(xr + 8), hi[r]);
+        }
     }
-    // Vertical adds only: lane l accumulates its activations in
-    // ascending-i order, exactly the scalar reduction, in double.
-    for (std::size_t i = 0; i < in; ++i) {
-        double *dst = bucket + std::size_t{irow[i]} * kSeqTile;
-        __m256 x = _mm256_loadu_ps(xT + i * kSeqTile);
-        __m256d lo = _mm256_cvtps_pd(_mm256_castps256_ps128(x));
-        __m256d hi = _mm256_cvtps_pd(_mm256_extractf128_ps(x, 1));
-        _mm256_storeu_pd(dst,
-                         _mm256_add_pd(_mm256_loadu_pd(dst), lo));
-        _mm256_storeu_pd(dst + 4,
-                         _mm256_add_pd(_mm256_loadu_pd(dst + 4), hi));
+    if (i < in) {
+        const std::size_t rem = in - i;
+        alignas(16) std::uint8_t tb[16] = {};
+        std::memcpy(tb, irow + i, rem);
+        __m128i b = _mm_load_si128(reinterpret_cast<const __m128i *>(tb));
+        __m256 wl = lookup(_mm256_cvtepu8_epi32(b));
+        __m256 wh = lookup(_mm256_cvtepu8_epi32(_mm_srli_si128(b, 8)));
+        const __m256i ml = firstLanes(rem);
+        const __m256i mh = firstLanes(rem > 8 ? rem - 8 : 0);
+        auto step = [](__m256 p, __m256 w, const float *xr, __m256i m) {
+            return _mm256_blendv_ps(
+                p, _mm256_fmadd_ps(w, _mm256_maskload_ps(xr, m), p),
+                _mm256_castsi256_ps(m));
+        };
+        for (std::size_t r = 0; r < R; ++r) {
+            lo[r] = step(lo[r], wl, x + r * ldx + i, ml);
+            hi[r] = step(hi[r], wh, x + r * ldx + i + 8, mh);
+        }
     }
+    for (std::size_t r = 0; r < R; ++r)
+        y[r * ldy] =
+            finishRow(lo[r], hi[r], bias, terms, nterms, x + r * ldx);
 }
 
 void
-centroidDotTileAvx2(const float *centroids, std::size_t k,
-                    const double *bucket, double bias, double *acc)
+centroidFmaAvx2(const std::uint8_t *irow, std::size_t in,
+                const float *centroids, std::size_t k, const float *x,
+                std::size_t ldx, std::size_t rows, float bias,
+                const OutlierTerm *terms, std::size_t nterms, float *y,
+                std::size_t ldy)
 {
-    __m256d a0 = _mm256_set1_pd(bias);
-    __m256d a1 = a0;
-    for (std::size_t c = 0; c < k; ++c) {
-        const __m256d cv =
-            _mm256_set1_pd(static_cast<double>(centroids[c]));
-        // mul then add, not fmadd: the scalar loop rounds the product
-        // before accumulating, and this tier promises bit-identity.
-        a0 = _mm256_add_pd(
-            a0, _mm256_mul_pd(cv,
-                              _mm256_loadu_pd(bucket + c * kSeqTile)));
-        a1 = _mm256_add_pd(
-            a1,
-            _mm256_mul_pd(cv,
-                          _mm256_loadu_pd(bucket + c * kSeqTile + 4)));
+    // Passes of up to 4 rows: 4 rows x 2 halves fill 8 of the 16 ymm
+    // registers with accumulators.
+    auto run = [&]<std::size_t... R>(const auto &lookup,
+                                    std::index_sequence<R...>) {
+        for (std::size_t r0 = 0; r0 < rows; r0 += 4) {
+            std::size_t n = std::min<std::size_t>(4, rows - r0);
+            ((n == R + 1 ? centroidFmaRows<R + 1>(
+                               irow, in, lookup, x + r0 * ldx, ldx, bias,
+                               terms, nterms, y + r0 * ldy, ldy)
+                         : void()),
+             ...);
+        }
+    };
+    const auto four = std::make_index_sequence<4>();
+    // Table loads are masked, so a short table is never read past its
+    // end.
+    if (k <= 8) {
+        const __m256 t = _mm256_maskload_ps(centroids, firstLanes(k));
+        run([t](__m256i idx) { return _mm256_permutevar8x32_ps(t, idx); },
+            four);
+    } else if (k <= 16) {
+        // Two vpermps, blended on index bit 3.
+        const __m256 lo = _mm256_loadu_ps(centroids);
+        const __m256 hi =
+            _mm256_maskload_ps(centroids + 8, firstLanes(k - 8));
+        run([lo, hi](__m256i idx) {
+            return _mm256_blendv_ps(
+                _mm256_permutevar8x32_ps(lo, idx),
+                _mm256_permutevar8x32_ps(hi, idx),
+                _mm256_castsi256_ps(_mm256_slli_epi32(idx, 28)));
+        }, four);
+    } else {
+        run([centroids](__m256i idx) {
+            return _mm256_i32gather_ps(centroids, idx, 4);
+        }, four);
     }
-    _mm256_storeu_pd(acc, a0);
-    _mm256_storeu_pd(acc + 4, a1);
-}
-
-void
-outlierTileAvx2(const OutlierTerm *terms, std::size_t count,
-                const float *xT, double *acc)
-{
-    __m256d a0 = _mm256_loadu_pd(acc);
-    __m256d a1 = _mm256_loadu_pd(acc + 4);
-    for (std::size_t t = 0; t < count; ++t) {
-        const __m256d cv =
-            _mm256_set1_pd(static_cast<double>(terms[t].correction));
-        __m256 x = _mm256_loadu_ps(
-            xT + std::size_t{terms[t].column} * kSeqTile);
-        a0 = _mm256_add_pd(
-            a0, _mm256_mul_pd(
-                    cv, _mm256_cvtps_pd(_mm256_castps256_ps128(x))));
-        a1 = _mm256_add_pd(
-            a1, _mm256_mul_pd(
-                    cv, _mm256_cvtps_pd(_mm256_extractf128_ps(x, 1))));
-    }
-    _mm256_storeu_pd(acc, a0);
-    _mm256_storeu_pd(acc + 4, a1);
 }
 
 } // namespace
@@ -394,9 +450,7 @@ avx2KernelsBuild()
         layerNormRowAvx2,
         geluRowAvx2,
         tanhRowAvx2,
-        bucketAccTileAvx2,
-        centroidDotTileAvx2,
-        outlierTileAvx2,
+        centroidFmaAvx2,
         decodePackedRowGeneric,
     };
     return &set;

@@ -10,12 +10,14 @@
  * Cephes-style exp/tanh polynomials of the AVX2 tier, widened to 512
  * bits with mask-register blends for the special cases.
  *
- * The bucket-tile kernels run 16 sequence lanes per tile
- * (KernelSet::seqTile == 16) and keep the scalar loop's per-lane
- * double arithmetic and order exactly (convert-then-add in phase 1,
- * multiply-then-add — deliberately NOT fmadd — in phases 2/3), so the
- * quantized FC output is bit-identical to the generic tier. Widening
- * the tile adds lanes, never reassociates within one.
+ * centroidFma looks each weight up in registers — vpermps over the
+ * 16-entry centroid table for B <= 4, an exact gather above — and
+ * feeds it straight into a 16-lane FMA, so a weight row is never
+ * materialised as floats. One index load and one lookup serve up to 8
+ * activation rows. Lane j of each accumulator is
+ * canonical partial j (kernels.hh): the vector loop is the canonical
+ * order, the tail is masked, and the +8/+4/+2/+1 tree is spelled out,
+ * so the quantized FC output is bit-identical to the generic tier.
  *
  * Packed-row decode: when the CPU also has AVX-512 VBMI, groups of 64
  * B-bit indexes (B <= 6) decode with three instructions — vpermb
@@ -44,6 +46,7 @@
 
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #if defined(__GNUC__) || defined(__clang__)
 #define GOBO_VBMI_DECODE 1
@@ -56,10 +59,6 @@ namespace gobo {
 bool cpuSupportsAvx512Vbmi();
 
 namespace {
-
-constexpr std::size_t kTile = 16;
-static_assert(kTile <= kMaxSeqTile,
-              "avx512 tile width exceeds kMaxSeqTile");
 
 /**
  * Vector expf, the AVX2 tier's Cephes polynomial widened to 16 lanes.
@@ -334,71 +333,99 @@ tanhRowAvx512(float *row, std::size_t n)
     }
 }
 
-void
-bucketAccTileAvx512(const std::uint8_t *irow, std::size_t in,
-                    const float *xT, double *bucket, std::size_t k)
+/** Lanes [0, n) of a 16-lane mask, n <= 16. */
+inline __mmask16
+firstLanes(std::size_t n)
 {
-    const __m512d zero = _mm512_setzero_pd();
-    for (std::size_t c = 0; c < k; ++c) {
-        _mm512_storeu_pd(bucket + c * kTile, zero);
-        _mm512_storeu_pd(bucket + c * kTile + 8, zero);
+    return static_cast<__mmask16>((1u << n) - 1u);
+}
+
+/**
+ * Canonical steps 2-4 for one activation row: the +8/+4/+2/+1 tree
+ * over the 16 partials, the bias, then the outlier FMAs in order.
+ */
+inline float
+finishRow(__m512 p, float bias, const OutlierTerm *terms,
+          std::size_t nterms, const float *xr)
+{
+    __m256 s8 = _mm256_add_ps(_mm512_castps512_ps256(p),
+                              _mm512_extractf32x8_ps(p, 1));
+    __m128 s4 = _mm_add_ps(_mm256_castps256_ps128(s8),
+                           _mm256_extractf128_ps(s8, 1));
+    __m128 s2 = _mm_add_ps(s4, _mm_movehl_ps(s4, s4));
+    __m128 s1 = _mm_add_ss(s2, _mm_shuffle_ps(s2, s2, 1));
+    float acc = _mm_cvtss_f32(s1) + bias;
+    for (std::size_t t = 0; t < nterms; ++t)
+        acc = std::fmaf(terms[t].correction, xr[terms[t].column], acc);
+    return acc;
+}
+
+/**
+ * R activation rows against one index row: 16 columns per step, one
+ * index load and one lookup shared by R FMAs. The tail step masks
+ * both loads and the FMA, so lanes past `in` keep their partials.
+ */
+template <std::size_t R, class Lookup>
+inline void
+centroidFmaRows(const std::uint8_t *irow, std::size_t in,
+                const Lookup &lookup, const float *x, std::size_t ldx,
+                float bias, const OutlierTerm *terms,
+                std::size_t nterms, float *y, std::size_t ldy)
+{
+    __m512 p[R];
+    for (std::size_t r = 0; r < R; ++r)
+        p[r] = _mm512_setzero_ps();
+    std::size_t i = 0;
+    for (; i + 16 <= in; i += 16) {
+        __m512 w = lookup(_mm512_cvtepu8_epi32(_mm_loadu_si128(
+            reinterpret_cast<const __m128i *>(irow + i))));
+        for (std::size_t r = 0; r < R; ++r)
+            p[r] = _mm512_fmadd_ps(w, _mm512_loadu_ps(x + r * ldx + i),
+                                   p[r]);
     }
-    // Vertical adds only: lane l accumulates its activations in
-    // ascending-i order, exactly the scalar reduction, in double.
-    for (std::size_t i = 0; i < in; ++i) {
-        double *dst = bucket + std::size_t{irow[i]} * kTile;
-        __m512 x = _mm512_loadu_ps(xT + i * kTile);
-        __m512d lo = _mm512_cvtps_pd(_mm512_castps512_ps256(x));
-        __m512d hi = _mm512_cvtps_pd(_mm512_extractf32x8_ps(x, 1));
-        _mm512_storeu_pd(dst,
-                         _mm512_add_pd(_mm512_loadu_pd(dst), lo));
-        _mm512_storeu_pd(dst + 8,
-                         _mm512_add_pd(_mm512_loadu_pd(dst + 8), hi));
+    if (i < in) {
+        const __mmask16 m = firstLanes(in - i);
+        __m512 w = lookup(
+            _mm512_cvtepu8_epi32(_mm_maskz_loadu_epi8(m, irow + i)));
+        for (std::size_t r = 0; r < R; ++r)
+            p[r] = _mm512_mask3_fmadd_ps(
+                w, _mm512_maskz_loadu_ps(m, x + r * ldx + i), p[r], m);
     }
+    for (std::size_t r = 0; r < R; ++r)
+        y[r * ldy] = finishRow(p[r], bias, terms, nterms, x + r * ldx);
 }
 
 void
-centroidDotTileAvx512(const float *centroids, std::size_t k,
-                      const double *bucket, double bias, double *acc)
+centroidFmaAvx512(const std::uint8_t *irow, std::size_t in,
+                  const float *centroids, std::size_t k,
+                  const float *x, std::size_t ldx, std::size_t rows,
+                  float bias, const OutlierTerm *terms,
+                  std::size_t nterms, float *y, std::size_t ldy)
 {
-    __m512d a0 = _mm512_set1_pd(bias);
-    __m512d a1 = a0;
-    for (std::size_t c = 0; c < k; ++c) {
-        const __m512d cv =
-            _mm512_set1_pd(static_cast<double>(centroids[c]));
-        // mul then add, not fmadd: the scalar loop rounds the product
-        // before accumulating, and this tier promises bit-identity.
-        a0 = _mm512_add_pd(
-            a0,
-            _mm512_mul_pd(cv, _mm512_loadu_pd(bucket + c * kTile)));
-        a1 = _mm512_add_pd(
-            a1, _mm512_mul_pd(
-                    cv, _mm512_loadu_pd(bucket + c * kTile + 8)));
+    // All `rows` in one pass (R = rows), so one lookup serves them
+    // all; 8 rows take 8 of the 32 zmm registers.
+    auto run = [&]<std::size_t... R>(const auto &lookup,
+                                    std::index_sequence<R...>) {
+        ((rows == R + 1 ? centroidFmaRows<R + 1>(irow, in, lookup, x, ldx,
+                                                 bias, terms, nterms, y,
+                                                 ldy)
+                        : void()),
+         ...);
+    };
+    const auto all = std::make_index_sequence<kFcRows>();
+    if (k <= 16) {
+        // The whole table in one register (masked load: a short table
+        // is never read past its end); one vpermps per 16 weights.
+        const __m512 table =
+            _mm512_maskz_loadu_ps(firstLanes(k), centroids);
+        run([table](__m512i idx) {
+            return _mm512_permutexvar_ps(idx, table);
+        }, all);
+    } else {
+        run([centroids](__m512i idx) {
+            return _mm512_i32gather_ps(idx, centroids, 4);
+        }, all);
     }
-    _mm512_storeu_pd(acc, a0);
-    _mm512_storeu_pd(acc + 8, a1);
-}
-
-void
-outlierTileAvx512(const OutlierTerm *terms, std::size_t count,
-                  const float *xT, double *acc)
-{
-    __m512d a0 = _mm512_loadu_pd(acc);
-    __m512d a1 = _mm512_loadu_pd(acc + 8);
-    for (std::size_t t = 0; t < count; ++t) {
-        const __m512d cv =
-            _mm512_set1_pd(static_cast<double>(terms[t].correction));
-        __m512 x = _mm512_loadu_ps(
-            xT + std::size_t{terms[t].column} * kTile);
-        a0 = _mm512_add_pd(
-            a0, _mm512_mul_pd(
-                    cv, _mm512_cvtps_pd(_mm512_castps512_ps256(x))));
-        a1 = _mm512_add_pd(
-            a1, _mm512_mul_pd(
-                    cv, _mm512_cvtps_pd(_mm512_extractf32x8_ps(x, 1))));
-    }
-    _mm512_storeu_pd(acc, a0);
-    _mm512_storeu_pd(acc + 8, a1);
 }
 
 #ifdef GOBO_VBMI_DECODE
@@ -485,16 +512,14 @@ avx512KernelsBuild()
         KernelSet s{};
         s.name = "avx512";
         s.reassociates = true;
-        s.seqTile = kTile;
+        s.seqTile = 16;
         s.dot = dotAvx512;
         s.axpy = axpyAvx512;
         s.softmaxRow = softmaxRowAvx512;
         s.layerNormRow = layerNormRowAvx512;
         s.geluRow = geluRowAvx512;
         s.tanhRow = tanhRowAvx512;
-        s.bucketAccTile = bucketAccTileAvx512;
-        s.centroidDotTile = centroidDotTileAvx512;
-        s.outlierTile = outlierTileAvx512;
+        s.centroidFma = centroidFmaAvx512;
         s.decodePackedRow = decodePackedRowGeneric;
 #ifdef GOBO_VBMI_DECODE
         if (cpuSupportsAvx512Vbmi())

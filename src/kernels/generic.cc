@@ -2,10 +2,11 @@
  * @file
  * Generic kernel tier: portable scalar loops.
  *
- * These bodies are the pre-SIMD inner loops of tensor/ops.cc and
- * core/qexec.cc, lifted verbatim. They are the reference every other
- * tier is validated against, and the repo's historical outputs are
- * bit-identical to them — do not "optimize" a reduction order here.
+ * The dense and row bodies are the pre-SIMD inner loops of
+ * tensor/ops.cc, lifted verbatim; centroidFma spells out the canonical
+ * quantized-FC order (kernels.hh) with std::fmaf. They are the
+ * reference every other tier is validated against — do not
+ * "optimize" a reduction order here.
  */
 
 #include "kernels/kernels.hh"
@@ -113,44 +114,52 @@ tanhRowGeneric(float *row, std::size_t n)
         row[i] = std::tanh(row[i]);
 }
 
-void
-bucketAccTileGeneric(const std::uint8_t *irow, std::size_t in,
-                     const float *xT, double *bucket, std::size_t k)
+// Always inlined, so centroidFmaGenericFma gets an FMA-codegen copy.
+[[gnu::always_inline]] inline void
+centroidFmaGeneric(const std::uint8_t *irow, std::size_t in,
+                   const float *centroids, std::size_t /*k*/,
+                   const float *x, std::size_t ldx, std::size_t rows,
+                   float bias, const OutlierTerm *terms,
+                   std::size_t nterms, float *y, std::size_t ldy)
 {
-    std::fill(bucket, bucket + k * kSeqTile, 0.0);
-    for (std::size_t i = 0; i < in; ++i) {
-        double *dst = bucket + std::size_t{irow[i]} * kSeqTile;
-        const float *src = xT + i * kSeqTile;
-        for (std::size_t l = 0; l < kSeqTile; ++l)
-            dst[l] += src[l];
+    for (std::size_t r = 0; r < rows; ++r) {
+        const float *xr = x + r * ldx;
+        float p[16] = {};
+        std::size_t i = 0;
+        for (; i + 16 <= in; i += 16)
+            for (std::size_t j = 0; j < 16; ++j)
+                p[j] = std::fmaf(centroids[irow[i + j]], xr[i + j], p[j]);
+        for (std::size_t j = 0; i + j < in; ++j)
+            p[j] = std::fmaf(centroids[irow[i + j]], xr[i + j], p[j]);
+        for (std::size_t w = 8; w >= 1; w /= 2)
+            for (std::size_t j = 0; j < w; ++j)
+                p[j] = p[j] + p[j + w];
+        float acc = p[0] + bias;
+        for (std::size_t t = 0; t < nterms; ++t)
+            acc = std::fmaf(terms[t].correction, xr[terms[t].column],
+                            acc);
+        y[r * ldy] = acc;
     }
 }
 
-void
-centroidDotTileGeneric(const float *centroids, std::size_t k,
-                       const double *bucket, double bias, double *acc)
+#if defined(__x86_64__)
+/**
+ * The same loops built with FMA codegen, picked by genericKernels()
+ * when cpuid reports FMA. std::fmaf is exactly rounded either way, so
+ * only the speed differs: an inlined vfmadd instead of a libm call is
+ * about 6x the GFLOP/s.
+ */
+[[gnu::target("fma")]] void
+centroidFmaGenericFma(const std::uint8_t *irow, std::size_t in,
+                      const float *centroids, std::size_t k,
+                      const float *x, std::size_t ldx, std::size_t rows,
+                      float bias, const OutlierTerm *terms,
+                      std::size_t nterms, float *y, std::size_t ldy)
 {
-    for (std::size_t l = 0; l < kSeqTile; ++l)
-        acc[l] = bias;
-    for (std::size_t c = 0; c < k; ++c) {
-        auto cv = static_cast<double>(centroids[c]);
-        const double *brow = bucket + c * kSeqTile;
-        for (std::size_t l = 0; l < kSeqTile; ++l)
-            acc[l] += cv * brow[l];
-    }
+    centroidFmaGeneric(irow, in, centroids, k, x, ldx, rows, bias, terms,
+                       nterms, y, ldy);
 }
-
-void
-outlierTileGeneric(const OutlierTerm *terms, std::size_t count,
-                   const float *xT, double *acc)
-{
-    for (std::size_t t = 0; t < count; ++t) {
-        auto cv = static_cast<double>(terms[t].correction);
-        const float *src = xT + std::size_t{terms[t].column} * kSeqTile;
-        for (std::size_t l = 0; l < kSeqTile; ++l)
-            acc[l] += cv * src[l];
-    }
-}
+#endif
 
 } // namespace
 
@@ -231,9 +240,12 @@ genericKernels()
         layerNormRowGeneric,
         geluRowGeneric,
         tanhRowGeneric,
-        bucketAccTileGeneric,
-        centroidDotTileGeneric,
-        outlierTileGeneric,
+#if defined(__x86_64__)
+        __builtin_cpu_supports("fma") ? centroidFmaGenericFma
+                                      : centroidFmaGeneric,
+#else
+        centroidFmaGeneric,
+#endif
         decodePackedRowGeneric,
     };
     return set;

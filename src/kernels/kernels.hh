@@ -4,19 +4,20 @@
  *
  * Every hot inner loop in the repo — the dense dot/axpy kernels under
  * matmul/linear/attention, the row ops (softmax, layernorm, GELU,
- * tanh), the sequence-tiled bucket kernel that executes the GOBO
+ * tanh), the centroid-lookup FMA kernel that executes the GOBO
  * compressed format, and the packed-index row decoder — is reached
  * through a KernelSet of function pointers. Three tiers exist:
  *
- *   generic  scalar loops with exactly the pre-SIMD reduction order;
- *            bit-identical to the historical outputs by construction.
+ *   generic  scalar loops; the dense/row kernels keep exactly the
+ *            pre-SIMD reduction order, and centroidFma spells out the
+ *            canonical quantized-FC order with std::fmaf.
  *   avx2     AVX2+FMA vectorized kernels. The dense and row kernels
  *            reassociate float reductions (and fuse multiply-adds), so
- *            they match generic only to tolerance; the quantized
- *            bucket-tile kernels keep the per-lane double arithmetic
- *            and order of the scalar loop and stay bit-identical.
+ *            they match generic only to tolerance; centroidFma keeps
+ *            the canonical order and stays bit-identical.
  *   avx512   AVX-512 F+BW+DQ+VL kernels: 16-wide dense/row kernels
- *            with masked tails, 16-lane bucket-tile kernels, and —
+ *            with masked tails, a 16-lane centroidFma that looks the
+ *            weights up in registers (vpermps for k <= 16), and —
  *            when the CPU also has VBMI — an in-register packed-row
  *            decoder (vpermb + vpmultishiftqb) for B <= 6.
  *
@@ -28,13 +29,12 @@
  *
  * Determinism contract (DESIGN.md §11): Serial/Parallel backends and
  * Packed/Unpacked formats are bit-identical *within* a tier; across
- * tiers, quantized FC outputs are bit-identical while dense ops carry
- * tolerance-level differences. The sequence tile width is a per-tier
- * property (KernelSet::seqTile) — lanes are independent sequence
- * positions, so widening the tile cannot change per-lane arithmetic.
- * Row decode produces exact bytes (a pure function of the packed
- * stream), so every tier's decoder is interchangeable. NaN and Inf
- * propagate through every kernel in every tier.
+ * tiers, quantized FC outputs are bit-identical (every tier's
+ * centroidFma follows the canonical order below) while dense ops
+ * carry tolerance-level differences. Row decode produces exact bytes
+ * (a pure function of the packed stream), so every tier's decoder is
+ * interchangeable. NaN and Inf propagate through every kernel in
+ * every tier.
  */
 
 #ifndef GOBO_KERNELS_KERNELS_HH
@@ -46,21 +46,17 @@
 
 namespace gobo {
 
-/**
- * Default lane count of the sequence-tiled bucket kernels, and the
- * width of the generic and avx2 tiers. The *active* width is the
- * per-tier KernelSet::seqTile (16 for avx512); tile buffers
- * (transposed activations, buckets, accumulators) are allocated and
- * strided at the executing tier's width. kMaxSeqTile bounds every
- * tier's width so stack accumulators can be sized statically.
- */
+/** KernelSet::seqTile of the generic and avx2 tiers, and its bound. */
 inline constexpr std::size_t kSeqTile = 8;
 inline constexpr std::size_t kMaxSeqTile = 16;
+
+/** Most activation rows one centroidFma call takes. */
+inline constexpr std::size_t kFcRows = 8;
 
 /**
  * One outlier's contribution to a quantized FC row: the weight sits at
  * `column`, and `correction` is w - centroid[assigned index] (the index
- * under an outlier still feeds its centroid through the bucket sums).
+ * under an outlier still feeds its centroid through the lookup FMAs).
  */
 struct OutlierTerm
 {
@@ -70,12 +66,7 @@ struct OutlierTerm
 
 /**
  * One dispatchable kernel tier. All pointers are non-null in every
- * registered tier. Buffer contracts:
- *
- *   - xT is a transposed activation tile: seqTile floats per input
- *     feature, laid out [i][lane], zero-padded in unused lanes.
- *   - bucket is k * seqTile doubles, [centroid][lane].
- *   - acc is seqTile doubles, one per lane.
+ * registered tier.
  */
 struct KernelSet
 {
@@ -84,14 +75,13 @@ struct KernelSet
     /**
      * True when the dense/row kernels reassociate float math (SIMD
      * tiers); false when every kernel keeps the exact scalar order.
-     * The bucket-tile kernels are bit-identical across tiers either
-     * way.
+     * centroidFma is bit-identical across tiers either way.
      */
     bool reassociates;
     /**
-     * Sequence lanes per bucket tile for this tier (<= kMaxSeqTile).
-     * Tiling, scratch strides, and the 2-D partitioner all follow this
-     * width; the tile kernels below hard-code it internally.
+     * Sequence-tile width (8 generic/avx2, 16 avx512): the serve batch
+     * former's default tileLanes and the bench `seq_tile` stamp. No
+     * kernel depends on it.
      */
     std::size_t seqTile;
 
@@ -112,27 +102,32 @@ struct KernelSet
     void (*tanhRow)(float *row, std::size_t n);
 
     /**
-     * Phase 1 of the compressed-domain FC: overwrite bucket with the
-     * per-centroid activation sums of one weight row against one
-     * activation tile. Per lane, bucket[irow[i]] accumulates xT lanes
-     * in ascending-i order — the scalar order, in double.
+     * The quantized FC engine: one output row of y = x * W^T + bias
+     * against `rows` (1..kFcRows) activation rows, with W's row given
+     * as decoded centroid indexes `irow[0..in)` into `centroids[0..k)`.
+     * Activation row r starts at x + r * ldx; its output goes to
+     * y[r * ldy]. Every tier computes each output in the canonical
+     * order, bit for bit:
+     *
+     *   1. 16 float partials, starting at +0: partial j takes
+     *      p = fmaf(centroids[irow[i]], x[i], p) over the columns
+     *      i = j (mod 16) in ascending order. Lanes past `in` are
+     *      masked out (left untouched), never fed zero padding.
+     *   2. A fixed pairwise tree: p[j] += p[j + 8] (j < 8), then +4,
+     *      +2, +1.
+     *   3. Add `bias`.
+     *   4. acc = fmaf(correction, x[column], acc) for each of the
+     *      `nterms` outlier terms in order (ascending column).
+     *
+     * Each output depends only on its own activation row, so how a
+     * caller groups rows into calls never changes a bit.
      */
-    void (*bucketAccTile)(const std::uint8_t *irow, std::size_t in,
-                          const float *xT, double *bucket,
-                          std::size_t k);
-    /**
-     * Phase 2: acc[l] = bias + sum_c centroids[c] * bucket[c][l] in
-     * ascending-c order (double multiply then add, never fused).
-     */
-    void (*centroidDotTile)(const float *centroids, std::size_t k,
-                            const double *bucket, double bias,
-                            double *acc);
-    /**
-     * Phase 3: acc[l] += correction * xT[column][l] for each outlier
-     * term in order (double multiply then add, never fused).
-     */
-    void (*outlierTile)(const OutlierTerm *terms, std::size_t count,
-                        const float *xT, double *acc);
+    void (*centroidFma)(const std::uint8_t *irow, std::size_t in,
+                        const float *centroids, std::size_t k,
+                        const float *x, std::size_t ldx,
+                        std::size_t rows, float bias,
+                        const OutlierTerm *terms, std::size_t nterms,
+                        float *y, std::size_t ldy);
 
     /**
      * Expand `n` consecutive `bits`-wide indexes, starting `bitOffset`

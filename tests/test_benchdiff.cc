@@ -20,6 +20,8 @@
 #include <sstream>
 #include <string>
 
+#include "temp_path.hh"
+
 #ifdef __unix__
 #include <sys/wait.h>
 #endif
@@ -59,7 +61,7 @@ struct DiffResult
 DiffResult
 runDiff(const std::string &baseline, const std::string &candidate)
 {
-    std::string outPath = ::testing::TempDir() + "benchdiff_out.txt";
+    std::string outPath = uniqueTempPath("benchdiff_out.txt");
     std::string cmd = "python3 \"" GOBO_SOURCE_DIR
                       "/tools/bench_diff.py\" \"" +
                       baseline + "\" \"" + candidate + "\" > \"" +
@@ -76,7 +78,7 @@ runDiff(const std::string &baseline, const std::string &candidate)
 std::string
 writeTemp(const char *name, const std::string &content)
 {
-    std::string path = ::testing::TempDir() + name;
+    std::string path = uniqueTempPath(name);
     std::ofstream(path) << content;
     return path;
 }
@@ -208,13 +210,13 @@ TEST(BenchDiffTest, KernelsPerResultSeqTileMismatchIsRefused)
     std::string base =
         "{\n  \"bench\": \"micro_kernels\",\n  \"seq_tile\": 8,\n"
         "  \"results\": [\n"
-        "    {\"kernel\": \"bucket_acc_tile\", \"tier\": \"avx512\","
+        "    {\"kernel\": \"centroid_fma\", \"tier\": \"avx512\","
         " \"bits\": 3, \"n\": 3072, \"seq_tile\": 8,"
         " \"gb_per_sec\": 10.0, \"gflop_per_sec\": 2.5}\n  ]\n}\n";
     std::string cand =
         "{\n  \"bench\": \"micro_kernels\",\n  \"seq_tile\": 8,\n"
         "  \"results\": [\n"
-        "    {\"kernel\": \"bucket_acc_tile\", \"tier\": \"avx512\","
+        "    {\"kernel\": \"centroid_fma\", \"tier\": \"avx512\","
         " \"bits\": 3, \"n\": 3072, \"seq_tile\": 16,"
         " \"gb_per_sec\": 20.0, \"gflop_per_sec\": 5.0}\n  ]\n}\n";
     DiffResult r = runDiff(writeTemp("kbase_tile.json", base),

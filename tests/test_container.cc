@@ -16,6 +16,8 @@
 #include "tensor/ops.hh"
 #include "util/logging.hh"
 
+#include "temp_path.hh"
+
 namespace gobo {
 namespace {
 
@@ -92,9 +94,8 @@ TEST(Container, FileSizeMatchesReportedCompression)
     auto cfg = miniConfig(ModelFamily::DistilBert);
     BertModel m = generateModel(cfg, 307);
 
-    auto dir = std::filesystem::temp_directory_path();
-    auto fp32_path = (dir / "gobo_fp32.bin").string();
-    auto comp_path = (dir / "gobo_comp.bin").string();
+    auto fp32_path = uniqueTempPath("fp32.bin");
+    auto comp_path = uniqueTempPath("comp.bin");
     saveModel(fp32_path, m);
     auto report = saveCompressedModel(comp_path, m, gobo3b4bEmbedding());
 

@@ -150,22 +150,18 @@ TEST_F(ModelBitIdentity, QuantizedLinearForward)
     Tensor parallel = qmodel.encode(ExecContext::parallel(8), batch[0]);
     expectBitIdentical(serial, parallel);
 
-    // Runtime op accounting matches the analytic counts and is
-    // backend-independent.
-    Tensor x = randomTensor(5, model.config().hidden, 20);
+    // One layer directly, on a grid fine enough to split both axes.
+    Tensor x = randomTensor(21, model.config().hidden, 20);
     QuantizedLinear layer(
         quantizeTensor(model.encoders[0].queryW, qopt.base),
         model.encoders[0].queryB);
-    OpCounts serial_ops, parallel_ops;
-    Tensor y1 = layer.forward(ExecContext::serial(), x, &serial_ops);
-    Tensor y2 = layer.forward(ExecContext::parallel(8), x,
-                              &parallel_ops);
+    ExecContext fine = ExecContext::parallel(8);
+    fine.grainFlops = 1;
+    Tensor y1 = layer.forward(ExecContext::serial(), x);
+    Tensor y2 = layer.forward(ExecContext::parallel(8), x);
+    Tensor y3 = layer.forward(fine, x);
     expectBitIdentical(y1, y2);
-    EXPECT_EQ(serial_ops.additions, parallel_ops.additions);
-    EXPECT_EQ(serial_ops.multiplications, parallel_ops.multiplications);
-    auto analytic = layer.opCounts(x.rows());
-    EXPECT_EQ(serial_ops.additions, analytic.additions);
-    EXPECT_EQ(serial_ops.multiplications, analytic.multiplications);
+    expectBitIdentical(y1, y3);
 }
 
 TEST_F(ModelBitIdentity, SessionSingleVsBatchedVsSerial)

@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 #include <sstream>
 #include <string>
 
@@ -130,7 +131,7 @@ kernelsDoc()
     doc.seqTile = 8;
     doc.results.push_back({"dot", "generic", 0, 4096, 8, 10.2, 2.5});
     doc.results.push_back(
-        {"bucket_acc_tile", "avx2", 3, 3072, 8, 12.6, 3.0});
+        {"centroid_fma", "avx2", 3, 3072, 8, 12.6, 3.0});
     return doc;
 }
 
@@ -231,6 +232,15 @@ struct WriterCase
     std::string (*render)();
 };
 
+/** Print a case as its name. Without this gtest prints the raw bytes
+ * of the two pointers, and ctest's discovered test names would change
+ * with every load address. */
+void
+PrintTo(const WriterCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
+
 const WriterCase kCases[] = {
     {"forward", renderForward},
     {"kernels_pmu", renderKernelsWithPmu},
@@ -257,11 +267,10 @@ TEST_P(JsonOutputs, WriterEmitsStrictJson)
     EXPECT_EQ(doc.find("inf"), std::string::npos);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllWriters, JsonOutputs, ::testing::ValuesIn(kCases),
-    [](const ::testing::TestParamInfo<WriterCase> &info) {
-        return std::string(info.param.name);
-    });
+// Default index names: gtest_discover_tests folds the printed
+// parameter into them, so ctest lists e.g. `.../WriterEmitsStrictJson/audit`.
+INSTANTIATE_TEST_SUITE_P(AllWriters, JsonOutputs,
+                         ::testing::ValuesIn(kCases));
 
 } // namespace
 } // namespace gobo

@@ -3,17 +3,19 @@
  * Tests for the SIMD kernel layer (kernels/kernels.hh).
  *
  * Pins down the tier contract of DESIGN.md §11:
- *   - the generic tier is bit-identical to the pre-kernel-layer
- *     scalar code (golden logits captured before the refactor);
- *   - the sequence-tiled bucket kernels are bit-identical across
- *     tiers (compressed-domain FC outputs never depend on the tier),
- *     asserted per-lane against a scalar reference at each tier's own
- *     seqTile width (8 for generic/avx2, 16 for avx512);
+ *   - the generic tier's fp32 engine is bit-identical to the
+ *     pre-kernel-layer scalar code (golden logits), and its quantized
+ *     engine reproduces golden logits re-derived from a kernel-free
+ *     reference of the canonical quantized-FC order;
+ *   - centroidFma is bit-identical across tiers and to that reference,
+ *     per kernel call and through QuantizedLinear::forward, for
+ *     B = 1..8, row lengths around the 16-lane step, 1..33 activation
+ *     rows, both weight formats, serial and parallel;
  *   - packed-row decode (KernelSet::decodePackedRow) is integer-exact
  *     on every tier, for every B, unaligned bit offsets, and lengths
  *     around the 64-index bulk-group boundary;
  *   - the dense/row SIMD kernels match generic to tolerance, on every
- *     masked-tail length, and propagate NaN/Inf exactly.
+ *     masked-tail length, and every kernel propagates NaN/Inf.
  * AVX2 cases skip on hosts without AVX2+FMA; AVX-512 cases skip (with
  * a message) on hosts without F+BW+DQ+VL or when the build lacks the
  * tier.
@@ -105,50 +107,62 @@ const std::vector<std::size_t> kFuzzLengths = {
     31, 32, 33, 1007};
 
 /**
- * The historical scalar compressed-domain forward, reconstructed from
- * the public QuantizedTensor fields: per (o, s), fill the buckets in
- * ascending-i order, fold the centroid table in ascending-c order from
- * the bias, apply outlier corrections in position order — all in
- * double. QuantizedLinear::forward on any tier/backend/format must
- * reproduce this bit-for-bit.
+ * The canonical quantized-FC order of kernels.hh for one output, as
+ * plain loops: 16 fmaf partials over the columns i = j (mod 16), the
+ * +8/+4/+2/+1 tree, the bias, then the outlier fmafs in order.
+ */
+float
+canonicalOutput(const std::uint8_t *idx, std::size_t in,
+                const float *centroids, const float *x, float bias,
+                const std::vector<OutlierTerm> &terms)
+{
+    float p[16] = {};
+    for (std::size_t i = 0; i < in; ++i)
+        p[i % 16] = std::fmaf(centroids[idx[i]], x[i], p[i % 16]);
+    float q[8], r[4], t[2];
+    for (std::size_t j = 0; j < 8; ++j)
+        q[j] = p[j] + p[j + 8];
+    for (std::size_t j = 0; j < 4; ++j)
+        r[j] = q[j] + q[j + 4];
+    for (std::size_t j = 0; j < 2; ++j)
+        t[j] = r[j] + r[j + 2];
+    float acc = (t[0] + t[1]) + bias;
+    for (const OutlierTerm &term : terms)
+        acc = std::fmaf(term.correction, x[term.column], acc);
+    return acc;
+}
+
+/**
+ * A kernel-free QuantizedLinear forward built from the public
+ * QuantizedTensor fields: indexes from the bitstream reference,
+ * outlier corrections in position order, canonicalOutput per (s, o).
+ * QuantizedLinear::forward on any tier/backend/format must reproduce
+ * this bit-for-bit.
  */
 Tensor
 scalarReference(const QuantizedTensor &qt, const Tensor &bias,
                 const Tensor &x)
 {
     std::size_t out = qt.rows, in = qt.cols;
-    std::size_t seq = x.rows();
-    std::size_t k = qt.centroids.size();
-    auto idx = unpackIndexes(qt.packedIndexes, qt.bits,
-                             qt.elementCount());
+    auto idx32 = unpackIndexes(qt.packedIndexes, qt.bits,
+                               qt.elementCount());
+    std::vector<std::uint8_t> idx(idx32.begin(), idx32.end());
 
-    std::vector<std::vector<std::pair<std::uint32_t, float>>> row_out(
-        out);
+    std::vector<std::vector<OutlierTerm>> row_terms(out);
     for (std::size_t o = 0; o < qt.outlierPositions.size(); ++o) {
         std::uint32_t pos = qt.outlierPositions[o];
-        std::uint32_t row = pos / static_cast<std::uint32_t>(in);
-        std::uint32_t col = pos % static_cast<std::uint32_t>(in);
-        float corr =
-            qt.outlierValues[o] - qt.centroids[qt.indexAt(pos)];
-        row_out[row].emplace_back(col, corr);
+        row_terms[pos / in].push_back(
+            {static_cast<std::uint32_t>(pos % in),
+             qt.outlierValues[o] - qt.centroids[idx[pos]]});
     }
 
-    Tensor y(seq, out);
-    std::vector<double> bucket(k);
-    for (std::size_t o = 0; o < out; ++o) {
-        for (std::size_t s = 0; s < seq; ++s) {
-            const float *xrow = x.row(s).data();
-            std::fill(bucket.begin(), bucket.end(), 0.0);
-            for (std::size_t i = 0; i < in; ++i)
-                bucket[idx[o * in + i]] += xrow[i];
-            double acc = bias(o);
-            for (std::size_t c = 0; c < k; ++c)
-                acc += static_cast<double>(qt.centroids[c]) * bucket[c];
-            for (const auto &[col, corr] : row_out[o])
-                acc += static_cast<double>(corr) * xrow[col];
-            y(s, o) = static_cast<float>(acc);
-        }
-    }
+    Tensor y(x.rows(), out);
+    for (std::size_t s = 0; s < x.rows(); ++s)
+        for (std::size_t o = 0; o < out; ++o)
+            y(s, o) = canonicalOutput(idx.data() + o * in, in,
+                                      qt.centroids.data(),
+                                      x.row(s).data(), bias(o),
+                                      row_terms[o]);
     return y;
 }
 
@@ -184,6 +198,68 @@ goldenSetup()
     return g;
 }
 
+/**
+ * QuantizedBertModel::classify rebuilt from public pieces, with every
+ * FC layer run through scalarReference instead of the kernels, on the
+ * generic tier's dense ops. The quantized golden logits are derived
+ * from this, not from the engine under test.
+ */
+Tensor
+referenceQuantizedLogits(const BertModel &model,
+                         const ModelQuantOptions &opt,
+                         const std::vector<std::int32_t> &tokens)
+{
+    ExecContext ctx = ExecContext::serial();
+    ctx.kernels = &genericKernels();
+    const ModelConfig &cfg = model.config();
+    auto fc = [&](const Tensor &x, const Tensor &w, const Tensor &b,
+                  FcKind kind, std::size_t e) {
+        GoboConfig c = opt.base;
+        c.bits = opt.effectiveBits(kind, e);
+        return scalarReference(quantizeTensor(w, c), b, x);
+    };
+
+    Tensor word = model.wordEmbedding;
+    if (opt.embeddingBits > 0) {
+        GoboConfig c = opt.base;
+        c.bits = opt.embeddingBits;
+        word = quantizeTensor(model.wordEmbedding, c).dequantize();
+    }
+    Tensor x(tokens.size(), cfg.hidden);
+    for (std::size_t s = 0; s < tokens.size(); ++s)
+        for (std::size_t c = 0; c < cfg.hidden; ++c)
+            x(s, c) = word(static_cast<std::size_t>(tokens[s]), c)
+                      + model.positionEmbedding(s, c);
+    layerNormInplace(ctx, x, model.embLnGamma.flat(),
+                     model.embLnBeta.flat());
+
+    for (std::size_t e = 0; e < model.encoders.size(); ++e) {
+        const EncoderWeights &enc = model.encoders[e];
+        Tensor q = fc(x, enc.queryW, enc.queryB, FcKind::Query, e);
+        Tensor k = fc(x, enc.keyW, enc.keyB, FcKind::Key, e);
+        Tensor v = fc(x, enc.valueW, enc.valueB, FcKind::Value, e);
+        Tensor attn = multiHeadAttention(ctx, q, k, v, cfg.numHeads);
+        Tensor a = add(x, fc(attn, enc.attnOutW, enc.attnOutB,
+                             FcKind::AttnOutput, e));
+        layerNormInplace(ctx, a, enc.attnLnGamma.flat(),
+                         enc.attnLnBeta.flat());
+        Tensor inter =
+            fc(a, enc.interW, enc.interB, FcKind::Intermediate, e);
+        geluInplace(ctx, inter);
+        x = add(a, fc(inter, enc.outW, enc.outB, FcKind::Output, e));
+        layerNormInplace(ctx, x, enc.outLnGamma.flat(),
+                         enc.outLnBeta.flat());
+    }
+
+    Tensor first(1, cfg.hidden);
+    for (std::size_t c = 0; c < cfg.hidden; ++c)
+        first(0, c) = x(0, c);
+    Tensor pooled = fc(first, model.poolerW, model.poolerB,
+                       FcKind::Pooler, cfg.numLayers);
+    tanhInplace(ctx, pooled);
+    return linear(ctx, pooled, model.headW, model.headB);
+}
+
 TEST(Dispatch, GenericTierIsCompleteAndNamed)
 {
     const KernelSet &g = genericKernels();
@@ -195,9 +271,7 @@ TEST(Dispatch, GenericTierIsCompleteAndNamed)
     EXPECT_NE(g.layerNormRow, nullptr);
     EXPECT_NE(g.geluRow, nullptr);
     EXPECT_NE(g.tanhRow, nullptr);
-    EXPECT_NE(g.bucketAccTile, nullptr);
-    EXPECT_NE(g.centroidDotTile, nullptr);
-    EXPECT_NE(g.outlierTile, nullptr);
+    EXPECT_NE(g.centroidFma, nullptr);
 }
 
 TEST(Dispatch, Avx2TierMatchesCpuid)
@@ -274,92 +348,126 @@ TEST(GoldenGeneric, Fp32SerialLogitsMatchPreKernelBuild)
 
 TEST(GoldenGeneric, QuantizedPackedLogitsMatchPreKernelBuild)
 {
+    // The canonical-order engine's logits, derived from
+    // referenceQuantizedLogits (no kernel on the FC path). The engine
+    // on the generic tier and the reference must both hit them.
+    const float golden[3] = {0x1.6a7ea8p-1f, -0x1.a3e546p+0f,
+                             0x1.343e22p+1f};
     GoldenSetup g = goldenSetup();
     ModelQuantOptions qopt;
     qopt.base.bits = 3;
     qopt.base.method = CentroidMethod::Gobo;
     qopt.embeddingBits = 4;
     qopt.format = WeightFormat::Packed;
+    Tensor ref = referenceQuantizedLogits(g.model, qopt, g.tokens);
     InferenceSession session(QuantizedBertModel(g.model, qopt),
                              tierCtx(genericKernels()));
     Tensor logits = session.headLogits(g.tokens);
+    ASSERT_EQ(ref.size(), 3u);
     ASSERT_EQ(logits.size(), 3u);
-    EXPECT_EQ(logits(0), 0x1.6a7ebp-1f);
-    EXPECT_EQ(logits(1), -0x1.a3e54p+0f);
-    EXPECT_EQ(logits(2), 0x1.343e1ep+1f);
+    for (std::size_t i = 0; i < 3; ++i) {
+        EXPECT_EQ(ref.flat()[i], golden[i]) << i;
+        EXPECT_EQ(logits(i), golden[i]) << i;
+    }
 }
 
 // ---------------------------------------------------------------------
-// Sequence-tiled compressed-domain forward: exact against the
-// historical scalar loop, for every tier, format, and awkward sequence
-// length (1 = the pooler path; 7/9/13 = partial tail tiles; 8 = one
-// exact tile).
+// Compressed-domain forward: exact against the kernel-free reference
+// for every tier, weight format and backend.
 
 TEST(QexecTile, ForwardMatchesScalarReferenceEverywhere)
 {
-    std::vector<const KernelSet *> tiers = allTiers();
-
-    std::size_t in = 24, out = 10;
-    for (unsigned bits : {2u, 3u, 4u}) {
-        GoboConfig cfg;
-        cfg.bits = bits;
-        Tensor w = randomTensor(out, in, 1000 + bits);
-        Tensor bias(out);
-        {
-            auto bv = randomVec(out, 2000 + bits);
+    // B = 1..8 x row lengths around the 16-column step x 1..33
+    // activation rows (1 = the pooler path; 8/16 bracket the 8-row
+    // kernel call and the avx512 tile stamp) x both formats x serial
+    // and 4 threads, on every tier. Non-zero weights, activations and
+    // biases throughout; grainFlops = 1 forces the parallel grid to
+    // split even these small layers.
+    const std::size_t out = 6;
+    std::size_t outliers_seen = 0;
+    for (unsigned bits = 1; bits <= 8; ++bits) {
+        for (std::size_t in : {std::size_t{1}, std::size_t{15},
+                               std::size_t{17}, std::size_t{768},
+                               std::size_t{773}}) {
+            GoboConfig cfg;
+            cfg.bits = bits;
+            QuantizedTensor qt =
+                quantizeTensor(randomTensor(out, in, 50 * bits + in), cfg);
+            outliers_seen += qt.outlierPositions.size();
+            Tensor bias(out);
+            auto bv = randomVec(out, 60 * bits + in);
             std::copy(bv.begin(), bv.end(), bias.flat().begin());
-        }
-        QuantizedTensor qt = quantizeTensor(w, cfg);
-        ASSERT_GT(qt.outlierPositions.size(), 0u)
-            << "fuzz layer should have outliers to cover phase 3";
-
-        // 1 = the pooler path; 7/8/9/13 = partial and exact 8-lane
-        // tiles; 15/16/17 and 31/32/33 bracket the avx512 16-lane
-        // tile and its masked tails.
-        for (std::size_t seq :
-             {std::size_t{1}, std::size_t{7}, std::size_t{8},
-              std::size_t{9}, std::size_t{13}, std::size_t{15},
-              std::size_t{16}, std::size_t{17}, std::size_t{31},
-              std::size_t{32}, std::size_t{33}}) {
-            Tensor x = randomTensor(seq, in, 3000 + seq * 17 + bits);
+            const QuantizedLinear layers[] = {
+                {qt, bias, WeightFormat::Unpacked},
+                {qt, bias, WeightFormat::Packed}};
+            Tensor x = randomTensor(33, in, 70 * bits + in);
             Tensor ref = scalarReference(qt, bias, x);
-            for (auto fmt :
-                 {WeightFormat::Unpacked, WeightFormat::Packed}) {
-                QuantizedLinear layer(qt, bias, fmt);
-                for (const KernelSet *tier : tiers) {
-                    Tensor y = layer.forward(tierCtx(*tier), x);
-                    ASSERT_EQ(y.rows(), seq);
-                    ASSERT_EQ(y.cols(), out);
-                    for (std::size_t s = 0; s < seq; ++s)
-                        for (std::size_t o = 0; o < out; ++o)
-                            EXPECT_EQ(y(s, o), ref(s, o))
-                                << "tier=" << tier->name
-                                << " fmt=" << weightFormatName(fmt)
-                                << " bits=" << bits << " seq=" << seq
-                                << " s=" << s << " o=" << o;
+            for (std::size_t seq = 1; seq <= 33; ++seq) {
+                Tensor xs(seq, in);
+                std::copy(x.flat().begin(),
+                          x.flat().begin() + seq * in,
+                          xs.flat().begin());
+                for (const KernelSet *tier : allTiers()) {
+                    ExecContext par = ExecContext::parallel(4);
+                    par.kernels = tier;
+                    par.grainFlops = 1;
+                    for (const ExecContext &ctx : {tierCtx(*tier), par})
+                        for (const QuantizedLinear &layer : layers) {
+                            Tensor y = layer.forward(ctx, xs);
+                            ASSERT_EQ(y.rows(), seq);
+                            ASSERT_EQ(y.cols(), out);
+                            for (std::size_t i = 0; i < y.size(); ++i)
+                                ASSERT_EQ(y.flat()[i], ref.flat()[i])
+                                    << tier->name << " bits=" << bits
+                                    << " in=" << in << " seq=" << seq
+                                    << " threads=" << ctx.threads
+                                    << " fmt="
+                                    << weightFormatName(layer.format())
+                                    << " i=" << i;
+                        }
                 }
             }
         }
     }
+    EXPECT_GT(outliers_seen, 0u) << "the sweep must cover step 4";
 }
 
-TEST(QexecTile, OpCountsUnchangedBySequenceTiling)
+TEST(QexecTile, NanInfActivationsPropagateOnEveryTier)
 {
-    // The tiled loop must count per real lane, not per padded tile:
-    // counts are closed-form in (seq, in, k, outliers).
-    std::size_t in = 24, out = 10;
-    Tensor w = randomTensor(out, in, 77);
+    // A NaN activation poisons every output of its row; an Inf one
+    // makes them non-finite; other rows stay finite and exact. Same
+    // on every tier, serial and parallel.
+    const std::size_t in = 40, out = 12, seq = 11;
+    GoboConfig cfg;
+    cfg.bits = 3;
+    QuantizedTensor qt = quantizeTensor(randomTensor(out, in, 5), cfg);
     Tensor bias(out);
-    QuantizedTensor qt = quantizeTensor(w, GoboConfig{});
-    QuantizedLinear layer(qt, bias, WeightFormat::Unpacked);
-    for (std::size_t seq : {std::size_t{1}, std::size_t{9}}) {
-        Tensor x = randomTensor(seq, in, 88 + seq);
-        OpCounts measured;
-        layer.forward(ExecContext::serial(), x, &measured);
-        OpCounts expected = layer.opCounts(seq);
-        EXPECT_EQ(measured.additions, expected.additions) << seq;
-        EXPECT_EQ(measured.multiplications, expected.multiplications)
-            << seq;
+    Tensor x = randomTensor(seq, in, 6);
+    x(2, 17) = kNan;
+    x(9, 33) = kInf;
+    Tensor ref = scalarReference(qt, bias, x);
+    for (const KernelSet *tier : allTiers()) {
+        ExecContext par = ExecContext::parallel(4);
+        par.kernels = tier;
+        par.grainFlops = 1;
+        for (const ExecContext &ctx : {tierCtx(*tier), par}) {
+            QuantizedLinear layer(qt, bias, WeightFormat::Packed);
+            Tensor y = layer.forward(ctx, x);
+            for (std::size_t s = 0; s < seq; ++s)
+                for (std::size_t o = 0; o < out; ++o) {
+                    SCOPED_TRACE(testing::Message()
+                                 << tier->name << " s=" << s
+                                 << " o=" << o);
+                    if (s == 2)
+                        EXPECT_TRUE(std::isnan(y(s, o)));
+                    else if (s == 9)
+                        EXPECT_FALSE(std::isfinite(y(s, o)));
+                    else
+                        EXPECT_EQ(y(s, o), ref(s, o));
+                    EXPECT_EQ(std::isnan(y(s, o)),
+                              std::isnan(ref(s, o)));
+                }
+        }
     }
 }
 
@@ -394,130 +502,97 @@ TEST(QexecTile, WholeModelBitIdenticalAcrossTiers)
 }
 
 // ---------------------------------------------------------------------
-// Direct bucket-kernel fuzz: AVX2 tile kernels are bit-identical to
-// generic for arbitrary bucket counts and outlier densities.
+// centroidFma called directly: every tier against the plain-loop
+// canonical order, for every B, row lengths around the 16-column step,
+// 1..kFcRows rows, strided x/y, and outlier densities from none to
+// half the row.
 
-TEST(BucketKernels, TilePhasesExactAcrossTiers)
+TEST(CentroidFma, MatchesCanonicalReference)
 {
-    SKIP_WITHOUT_AVX2();
-    const KernelSet &gen = genericKernels();
-    std::mt19937_64 eng(7);
-    for (unsigned bits = 2; bits <= 8; ++bits) {
-        std::size_t k = std::size_t{1} << bits;
-        for (std::size_t in : {std::size_t{1}, std::size_t{13},
-                               std::size_t{64}, std::size_t{257}}) {
-            std::vector<std::uint8_t> irow(in);
-            for (auto &v : irow)
-                v = static_cast<std::uint8_t>(eng() % k);
-            auto xt = randomVec(in * kSeqTile, eng());
-
-            std::vector<double> bucket_g(k * kSeqTile, -1.0);
-            std::vector<double> bucket_a(k * kSeqTile, -1.0);
-            gen.bucketAccTile(irow.data(), in, xt.data(),
-                              bucket_g.data(), k);
-            avx2->bucketAccTile(irow.data(), in, xt.data(),
-                                bucket_a.data(), k);
-            for (std::size_t i = 0; i < bucket_g.size(); ++i)
-                ASSERT_EQ(bucket_g[i], bucket_a[i])
-                    << "bits=" << bits << " in=" << in << " i=" << i;
-
+    std::mt19937_64 eng(19);
+    for (const KernelSet *tier : allTiers()) {
+        const KernelSet &kn = *tier;
+        SCOPED_TRACE(kn.name);
+        for (unsigned bits = 1; bits <= 8; ++bits) {
+            std::size_t k = std::size_t{1} << bits;
             auto centroids = randomVec(k, eng());
-            double acc_g[kSeqTile], acc_a[kSeqTile];
-            gen.centroidDotTile(centroids.data(), k, bucket_g.data(),
-                                0.25, acc_g);
-            avx2->centroidDotTile(centroids.data(), k, bucket_a.data(),
-                                  0.25, acc_a);
-            for (std::size_t l = 0; l < kSeqTile; ++l)
-                ASSERT_EQ(acc_g[l], acc_a[l]) << l;
-
-            // Outlier densities from none to ~half the row.
-            for (std::size_t n_out :
-                 {std::size_t{0}, std::size_t{1}, in / 2}) {
-                std::vector<OutlierTerm> terms;
-                for (std::size_t t = 0; t < n_out; ++t)
-                    terms.push_back(
-                        {static_cast<std::uint32_t>(eng() % in),
-                         static_cast<float>(
-                             static_cast<double>(eng() % 1000) / 250.0
-                             - 2.0)});
-                double og[kSeqTile], oa[kSeqTile];
-                std::copy(acc_g, acc_g + kSeqTile, og);
-                std::copy(acc_a, acc_a + kSeqTile, oa);
-                gen.outlierTile(terms.data(), terms.size(), xt.data(),
-                                og);
-                avx2->outlierTile(terms.data(), terms.size(), xt.data(),
-                                  oa);
-                for (std::size_t l = 0; l < kSeqTile; ++l)
-                    ASSERT_EQ(og[l], oa[l])
-                        << "n_out=" << n_out << " l=" << l;
+            for (std::size_t in : {std::size_t{1}, std::size_t{13},
+                                   std::size_t{16}, std::size_t{64},
+                                   std::size_t{257}}) {
+                std::vector<std::uint8_t> irow(in);
+                for (auto &v : irow)
+                    v = static_cast<std::uint8_t>(eng() % k);
+                const std::size_t ldx = in + 3, ldy = 5;
+                auto x = randomVec(kFcRows * ldx, eng());
+                for (std::size_t n_out :
+                     {std::size_t{0}, std::size_t{1}, in / 2}) {
+                    std::vector<OutlierTerm> terms;
+                    for (std::size_t t = 0; t < n_out; ++t)
+                        terms.push_back(
+                            {static_cast<std::uint32_t>(t * in / n_out),
+                             static_cast<float>(
+                                 static_cast<double>(eng() % 1000)
+                                     / 250.0
+                                 - 2.0)});
+                    for (std::size_t rows = 1; rows <= kFcRows; ++rows) {
+                        std::vector<float> y(kFcRows * ldy, -7.0f);
+                        kn.centroidFma(irow.data(), in,
+                                       centroids.data(), k, x.data(),
+                                       ldx, rows, 0.25f, terms.data(),
+                                       terms.size(), y.data(), ldy);
+                        for (std::size_t r = 0; r < kFcRows; ++r)
+                            ASSERT_EQ(y[r * ldy],
+                                      r < rows ? canonicalOutput(
+                                                     irow.data(), in,
+                                                     centroids.data(),
+                                                     x.data() + r * ldx,
+                                                     0.25f, terms)
+                                               : -7.0f)
+                                << "bits=" << bits << " in=" << in
+                                << " n_out=" << n_out
+                                << " rows=" << rows << " r=" << r;
+                    }
+                }
             }
         }
     }
 }
 
-TEST(BucketKernels, TilePhasesMatchPerLaneReferenceAtNativeWidth)
+TEST(CentroidFma, ExactAcrossTiers)
 {
-    // Each tier's tile kernels at the tier's own seqTile width against
-    // a per-lane scalar reference (ascending i / c / outlier order,
-    // double mul-then-add) — the same contract scalarReference() pins
-    // end-to-end, here per kernel so a 16-lane avx512 tile is checked
-    // lane by lane rather than through an 8-lane peer.
-    std::mt19937_64 eng(19);
-    for (const KernelSet *tier : allTiers()) {
-        const KernelSet &kn = *tier;
-        const std::size_t tile = kn.seqTile;
-        SCOPED_TRACE(kn.name);
-        for (unsigned bits = 2; bits <= 8; bits += 3) {
-            std::size_t k = std::size_t{1} << bits;
-            for (std::size_t in : {std::size_t{1}, std::size_t{13},
-                                   std::size_t{64}, std::size_t{257}}) {
-                std::vector<std::uint8_t> irow(in);
-                for (auto &v : irow)
-                    v = static_cast<std::uint8_t>(eng() % k);
-                auto xt = randomVec(in * tile, eng());
-
-                std::vector<double> bucket(k * tile, -1.0);
-                kn.bucketAccTile(irow.data(), in, xt.data(),
-                                 bucket.data(), k);
-                std::vector<double> ref(k * tile, 0.0);
-                for (std::size_t i = 0; i < in; ++i)
-                    for (std::size_t l = 0; l < tile; ++l)
-                        ref[irow[i] * tile + l] +=
-                            static_cast<double>(xt[i * tile + l]);
-                for (std::size_t i = 0; i < bucket.size(); ++i)
-                    ASSERT_EQ(bucket[i], ref[i])
-                        << "bits=" << bits << " in=" << in
-                        << " i=" << i;
-
-                auto centroids = randomVec(k, eng());
-                std::vector<double> acc(tile);
-                kn.centroidDotTile(centroids.data(), k, bucket.data(),
-                                   0.25, acc.data());
-                std::vector<double> acc_ref(tile, 0.25);
-                for (std::size_t c = 0; c < k; ++c)
-                    for (std::size_t l = 0; l < tile; ++l)
-                        acc_ref[l] += static_cast<double>(centroids[c])
-                                      * bucket[c * tile + l];
-                for (std::size_t l = 0; l < tile; ++l)
-                    ASSERT_EQ(acc[l], acc_ref[l]) << l;
-
-                std::vector<OutlierTerm> terms;
-                for (std::size_t t = 0; t < in / 2 + 1; ++t)
-                    terms.push_back(
-                        {static_cast<std::uint32_t>(eng() % in),
-                         static_cast<float>(
-                             static_cast<double>(eng() % 1000) / 250.0
-                             - 2.0)});
-                auto out_ref = acc_ref;
-                kn.outlierTile(terms.data(), terms.size(), xt.data(),
-                               acc.data());
-                for (const auto &term : terms)
-                    for (std::size_t l = 0; l < tile; ++l)
-                        out_ref[l] +=
-                            static_cast<double>(term.correction)
-                            * xt[term.column * tile + l];
-                for (std::size_t l = 0; l < tile; ++l)
-                    ASSERT_EQ(acc[l], out_ref[l]) << l;
+    // Every SIMD tier against generic on full-scale rows (768 and 773
+    // columns) and short centroid tables (k not a power of two), all
+    // kFcRows rows at once.
+    if (simdTiers().empty())
+        GTEST_SKIP() << "no SIMD tier available on this host";
+    const KernelSet &gen = genericKernels();
+    std::mt19937_64 eng(7);
+    for (std::size_t k : {std::size_t{2}, std::size_t{5},
+                          std::size_t{8}, std::size_t{12},
+                          std::size_t{16}, std::size_t{27},
+                          std::size_t{32}, std::size_t{64},
+                          std::size_t{200}, std::size_t{256}}) {
+        auto centroids = randomVec(k, eng());
+        for (std::size_t in : {std::size_t{768}, std::size_t{773}}) {
+            std::vector<std::uint8_t> irow(in);
+            for (auto &v : irow)
+                v = static_cast<std::uint8_t>(eng() % k);
+            auto x = randomVec(kFcRows * in, eng());
+            std::vector<OutlierTerm> terms = {{3, 0.5f}, {700, -1.25f}};
+            std::vector<float> yg(kFcRows);
+            gen.centroidFma(irow.data(), in, centroids.data(), k,
+                            x.data(), in, kFcRows, -0.5f, terms.data(),
+                            terms.size(), yg.data(), 1);
+            for (const KernelSet *simd : simdTiers()) {
+                std::vector<float> ya(kFcRows);
+                simd->centroidFma(irow.data(), in, centroids.data(), k,
+                                  x.data(), in, kFcRows, -0.5f,
+                                  terms.data(), terms.size(), ya.data(),
+                                  1);
+                for (std::size_t r = 0; r < kFcRows; ++r)
+                    ASSERT_EQ(yg[r], ya[r])
+                        << simd->name << " k=" << k << " in=" << in
+                        << " r=" << r;
             }
         }
     }
@@ -705,7 +780,6 @@ TEST(NanInf, PropagatesThroughEveryKernel)
 {
     for (const KernelSet *tier : allTiers()) {
         const KernelSet &kn = *tier;
-        const std::size_t tile = kn.seqTile;
         SCOPED_TRACE(kn.name);
 
         for (std::size_t n : {std::size_t{9}, std::size_t{33}}) {
@@ -769,34 +843,30 @@ TEST(NanInf, PropagatesThroughEveryKernel)
             EXPECT_EQ(th[1], 1.0f);
             EXPECT_EQ(th[2], -1.0f);
 
-            // bucket tile: a NaN/Inf lane contaminates exactly the
-            // buckets its indexes touch, per lane — at the tier's own
-            // tile width.
+            // centroidFma: a NaN activation poisons its own row, an
+            // Inf one drives it to +-Inf, neighbours stay finite.
             std::size_t in = n, k = 4;
             std::vector<std::uint8_t> irow(in);
             for (std::size_t i = 0; i < in; ++i)
                 irow[i] = static_cast<std::uint8_t>(i % k);
-            std::vector<float> xt(in * tile, 1.0f);
-            xt[0 * tile + 3] = kNan; // i = 0 (bucket 0), lane 3
-            xt[1 * tile + 5] = kInf; // i = 1 (bucket 1), lane 5
-            std::vector<double> bucket(k * tile);
-            kn.bucketAccTile(irow.data(), in, xt.data(), bucket.data(),
-                             k);
-            EXPECT_TRUE(std::isnan(bucket[0 * tile + 3]));
-            EXPECT_EQ(bucket[1 * tile + 5],
-                      std::numeric_limits<double>::infinity());
-            EXPECT_FALSE(std::isnan(bucket[0 * tile + 2]));
+            std::vector<float> centroids = {0.5f, -1.0f, 0.25f, 2.0f};
+            std::vector<float> xs(3 * in, 1.0f);
+            xs[0 * in + in - 1] = kNan; // row 0, last (tail) column
+            xs[1 * in + 1] = kInf;      // row 1, bucket 1
+            std::vector<float> fy(3);
+            kn.centroidFma(irow.data(), in, centroids.data(), k,
+                           xs.data(), in, 3, 0.0f, nullptr, 0, fy.data(),
+                           1);
+            EXPECT_TRUE(std::isnan(fy[0]));
+            EXPECT_EQ(fy[1], -kInf);
+            EXPECT_TRUE(std::isfinite(fy[2]));
 
-            // ...and flows through phases 2 and 3.
-            std::vector<float> centroids(k, 1.0f);
-            std::vector<double> acc(tile);
-            kn.centroidDotTile(centroids.data(), k, bucket.data(), 0.0,
-                               acc.data());
-            EXPECT_TRUE(std::isnan(acc[3]));
-            EXPECT_EQ(acc[5], std::numeric_limits<double>::infinity());
-            OutlierTerm term{0, 2.0f};
-            kn.outlierTile(&term, 1, xt.data(), acc.data());
-            EXPECT_TRUE(std::isnan(acc[3]));
+            // ...and an outlier term on an Inf column reaches the sum.
+            OutlierTerm term{1, 2.0f};
+            kn.centroidFma(irow.data(), in, centroids.data(), k,
+                           xs.data(), in, 3, 0.0f, &term, 1, fy.data(),
+                           1);
+            EXPECT_TRUE(std::isnan(fy[1])); // -Inf + 2 * Inf
         }
     }
 }

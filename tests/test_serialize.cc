@@ -13,6 +13,8 @@
 #include "model/serialize.hh"
 #include "util/logging.hh"
 
+#include "temp_path.hh"
+
 namespace gobo {
 namespace {
 
@@ -77,10 +79,9 @@ TEST(ModelIo, FileRoundtrip)
 {
     auto cfg = miniConfig(ModelFamily::DistilBert);
     BertModel m = generateModel(cfg, 5);
-    auto path = std::filesystem::temp_directory_path()
-                / "gobo_test_model.bin";
-    saveModel(path.string(), m);
-    BertModel back = loadModel(path.string());
+    auto path = uniqueTempPath("test_model.bin");
+    saveModel(path, m);
+    BertModel back = loadModel(path);
     EXPECT_EQ(back.wordEmbedding.data(), m.wordEmbedding.data());
     std::filesystem::remove(path);
 }

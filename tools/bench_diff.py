@@ -310,9 +310,8 @@ def diff_kernels(base, cand, args):
         refuse(
             f"bench_diff: seq_tile mismatch: baseline "
             f"{base.get('seq_tile')} vs candidate "
-            f"{cand.get('seq_tile')} — the bucket kernel's working "
-            f"set depends on the tile width, so the runs are not "
-            f"comparable")
+            f"{cand.get('seq_tile')} — the runs stamp different tier "
+            f"tile widths, so they are not comparable")
 
     for key in sorted(base_r):
         kernel, tier, bits = key

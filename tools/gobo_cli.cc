@@ -34,12 +34,14 @@
  *                  [--window-us N] [--timeline-out OUT.json]
  *   gobo kernels
  *
- * `generate` writes a synthetic FP32 checkpoint (see model/generate);
+ * `generate` writes a synthetic FP32 checkpoint (see model/generate)
+ * with a seeded non-zero task head;
  * `compress` produces the GOBC container and prints the per-layer
  * accounting; `decompress` decodes back to a plain FP32 model any
  * engine can consume; `inspect` prints what a file contains; `infer`
  * serves a batch of random sequences through an InferenceSession on
- * the chosen execution backend and reports logits and tokens/sec.
+ * the chosen execution backend and reports logits (as exact `%a` hex
+ * floats) and tokens/sec.
  * With `--trace` the run is recorded as Chrome trace-event JSON
  * (load it in chrome://tracing or ui.perfetto.dev); `--metrics`
  * prints the counter/histogram registry plus a span summary and the
@@ -270,6 +272,12 @@ cmdGenerate(const Args &args)
                 static_cast<unsigned long long>(seed));
     WallTimer timer;
     BertModel model = generateModel(cfg, seed);
+    // generateModel leaves the task head zero, which would print every
+    // logit as 0 whatever the encoder computed. Fill it from its own
+    // sub-seed so no other tensor changes.
+    Rng head_rng(seed ^ 0x4ead5eedULL);
+    head_rng.fillGaussian(model.headW.data(), 0.0, 0.5);
+    head_rng.fillGaussian(model.headB.data(), 0.0, 0.5);
     saveModel(out, model);
     std::printf("wrote %s (%.2f MiB) in %.1f s\n", out.c_str(),
                 toMiB(std::filesystem::file_size(out)), timer.seconds());
@@ -500,7 +508,7 @@ cmdInfer(const Args &args)
         std::printf("seq %2zu: argmax %zu, logits [", i,
                     argmax(logits[i].flat()));
         for (std::size_t j = 0; j < logits[i].size(); ++j)
-            std::printf("%s%.4f", j ? ", " : "", logits[i](j));
+            std::printf("%s%a", j ? ", " : "", logits[i](j));
         std::puts("]");
     }
     std::printf("\n%.1f tokens/sec (%.1f ms for %zu tokens)\n",
