@@ -73,10 +73,6 @@ struct ForwardDoc
     /** Active tier's sequence-tile width (KernelSet::seqTile). Changes
      * batching granularity, so bench_diff refuses cross-width diffs. */
     std::size_t seqTile = 0;
-    /** Decoded-row cache budget (GOBO_DECODE_CACHE_KB) in KiB; part of
-     * the environment stamp since it shifts both throughput and
-     * resident accounting. */
-    std::size_t decodeCacheKb = 0;
     std::vector<ForwardResult> results;
     std::vector<ScalingPoint> scaling;
     std::vector<SpanSummary> spans;
@@ -95,10 +91,9 @@ writeForwardJson(const ForwardDoc &doc, std::ostream &os)
         "  \"threads\": %zu,\n  \"cores\": %zu,\n"
         "  \"kernel_tier\": \"%s\",\n"
         "  \"seq_tile\": %zu,\n"
-        "  \"decode_cache_kb\": %zu,\n"
         "  \"results\": [\n",
         doc.seqLen, doc.batch, doc.threads, doc.cores,
-        doc.kernelTier.c_str(), doc.seqTile, doc.decodeCacheKb);
+        doc.kernelTier.c_str(), doc.seqTile);
     for (std::size_t i = 0; i < doc.results.size(); ++i)
         put(os,
             "    {\"engine\": \"%s\", \"backend\": \"%s\","

@@ -30,10 +30,8 @@
 #include "bench/bench_json.hh"
 #include "bench/bench_util.hh"
 #include "core/qexec.hh"
-#include "exec/scratch.hh"
 #include "exec/session.hh"
 #include "kernels/kernels.hh"
-#include "model/footprint.hh"
 #include "model/generate.hh"
 #include "obs/export.hh"
 #include "obs/observer.hh"
@@ -167,46 +165,22 @@ main(int argc, char **argv)
         results.push_back({"fp32", "serial", fp32_serial});
         results.push_back({"fp32", "parallel", fp32_parallel});
     }
-    std::size_t q_resident = 0, packed_resident = 0;
+    std::size_t packed_resident = 0;
     std::size_t cores = std::thread::hardware_concurrency();
     if (cores == 0)
         cores = 1;
     std::vector<ScalingPoint> scaling;
     {
-        InferenceSession s_q(QuantizedBertModel(model, qopt), serial);
-        InferenceSession p_q(QuantizedBertModel(model, qopt), parallel);
-        qopt.format = WeightFormat::Packed;
         InferenceSession s_pk(QuantizedBertModel(model, qopt), serial);
         InferenceSession p_pk(QuantizedBertModel(model, qopt), parallel);
-        // Format contract: Packed serves bit-identical logits from
-        // ~B/8 of the Unpacked engine's index bytes.
-        auto a = s_q.headLogitsBatch(batch);
         auto b = s_pk.headLogitsBatch(batch);
-        for (std::size_t i = 0; i < batch.size(); ++i)
-            for (std::size_t j = 0; j < a[i].size(); ++j)
-                if (a[i](j) != b[i](j)) {
-                    std::fprintf(stderr,
-                                 "format mismatch at [%zu][%zu]\n", i,
-                                 j);
-                    return 1;
-                }
-        q_resident = s_q.residentWeightBytes();
         packed_resident = s_pk.residentWeightBytes();
-        double q_serial = timeBatches(s_q, batch, reps);
-        q_parallel = timeBatches(p_q, batch, reps);
-        results.push_back({"qexec", "serial", q_serial, q_resident});
-        results.push_back({"qexec", "parallel", q_parallel, q_resident});
         double pk_serial = timeBatches(s_pk, batch, reps);
-        double pk_parallel = timeBatches(p_pk, batch, reps);
-        // Packed rows additionally charge the decoded-row cache
-        // capacity — one per-arena budget per executing thread — so
-        // the compression story stays honest about cached decode
-        // bytes. Unpacked and fp32 never populate the cache.
+        q_parallel = timeBatches(p_pk, batch, reps);
         results.push_back({"qpacked", "serial", pk_serial,
-                           packed_resident + decodeCacheResidentBytes(1)});
-        results.push_back(
-            {"qpacked", "parallel", pk_parallel,
-             packed_resident + decodeCacheResidentBytes(threads)});
+                           packed_resident});
+        results.push_back({"qpacked", "parallel", q_parallel,
+                           packed_resident});
 
         // Thread-scaling curve on the packed engine: one session,
         // re-contexted per width so weights stay resident and only the
@@ -249,9 +223,9 @@ main(int argc, char **argv)
     }
     t.print(std::cout);
 
-    std::printf("\nresident weight bytes: fp32 %zu, unpacked %zu,"
-                " packed %zu (packed/fp32 = %.4f)\n",
-                fp32_resident, q_resident, packed_resident,
+    std::printf("\nresident weight bytes: fp32 %zu, packed %zu"
+                " (packed/fp32 = %.4f)\n",
+                fp32_resident, packed_resident,
                 static_cast<double>(packed_resident)
                     / static_cast<double>(fp32_resident));
 
@@ -270,19 +244,15 @@ main(int argc, char **argv)
                    ConsoleTable::num(p.speedupVsSerial, 2) + "x"});
     sc.print(std::cout);
 
-    // One traced batch through the packed parallel engine (qopt still
-    // holds format=Packed from the block above). The span summary is
-    // the per-layer time breakdown; timing above ran unobserved, so
-    // the throughput numbers carry zero instrumentation cost.
+    // One traced batch through the packed parallel engine. The span
+    // summary is the per-layer time breakdown; timing above ran
+    // unobserved, so the throughput numbers carry zero instrumentation
+    // cost.
     Observer obs;
     ExecContext traced_ctx = parallel;
     traced_ctx.obs = &obs;
     InferenceSession traced(QuantizedBertModel(model, qopt),
                             traced_ctx);
-    // Two forwards back to back: the second demonstrates the decoded-
-    // row cache surviving across forwards (pooler/head rows included),
-    // visible below as qexec.layer.*.decode_cache_hits.
-    traced.headLogitsBatch(batch);
     traced.headLogitsBatch(batch);
     auto spans = summarizeSpans(obs.tracer);
 
@@ -296,26 +266,6 @@ main(int argc, char **argv)
                    ConsoleTable::num(spans[i].meanUs, 1)});
     st.print(std::cout);
 
-    // Decoded-row cache outcome across the whole run (all sessions
-    // share the process-wide arena registry), plus the per-layer hit
-    // counters from the traced session — pooler and head rows hitting
-    // here means the cache survived across forwards.
-    {
-        MetricsSnapshot snap = obs.metrics.snapshot();
-        appendScratchCounters(snap, scratchStats());
-        appendScratchGauges(snap, scratchStats());
-        std::printf("\nDecoded-row cache (budget %zu KiB/arena):\n",
-                    decodeCacheBudgetBytes() / 1024);
-        for (const auto &c : snap.counters)
-            if (c.name.find("decode_cache") != std::string::npos
-                || c.name.find("decode_row") != std::string::npos)
-                std::printf("  %-44s %zu\n", c.name.c_str(),
-                            static_cast<std::size_t>(c.value));
-        for (const auto &g : snap.gauges)
-            if (g.name.find("decode_") != std::string::npos)
-                std::printf("  %-44s %.3f\n", g.name.c_str(), g.value);
-    }
-
     benchjson::ForwardDoc doc;
     doc.seqLen = seq_len;
     doc.batch = batch_size;
@@ -323,7 +273,6 @@ main(int argc, char **argv)
     doc.cores = cores;
     doc.kernelTier = tier;
     doc.seqTile = activeKernels().seqTile;
-    doc.decodeCacheKb = decodeCacheBudgetBytes() / 1024;
     doc.results = results;
     doc.scaling = scaling;
     doc.spans = spans;

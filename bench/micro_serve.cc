@@ -125,7 +125,6 @@ main(int argc, char **argv)
     auto trace = generateTrace(*spec, cfg.vocabSize);
 
     ModelQuantOptions qopt = uniformOptions(3, CentroidMethod::Gobo, 4);
-    qopt.format = WeightFormat::Packed;
     qopt.threads = threads;
     InferenceSession session(QuantizedBertModel(model, qopt),
                              ExecContext::parallel(threads));
@@ -189,7 +188,7 @@ main(int argc, char **argv)
     meta.kernelTier = tier;
     meta.threads = threads;
     meta.engine = "qexec";
-    meta.format = weightFormatName(WeightFormat::Packed);
+    meta.format = "packed";
     std::ofstream os(out, std::ios::binary);
     if (!os) {
         std::fprintf(stderr, "cannot write %s\n", out.c_str());

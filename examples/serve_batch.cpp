@@ -20,6 +20,7 @@
 #include "exec/threadpool.hh"
 #include "model/generate.hh"
 #include "obs/metrics.hh"
+#include "tensor/ops.hh"
 #include "util/rng.hh"
 #include "util/timer.hh"
 
@@ -129,36 +130,28 @@ main(int argc, char **argv)
                 threads, pt.tokensPerSec / st.tokensPerSec);
 
     // The compressed-domain engine serves from the GOBO format
-    // directly — same session API, no decode step. Unpacked widens
-    // every 3-bit index to a byte; Packed keeps the 3-bit stream
-    // resident and decodes rows inside the kernel. Same logits, ~2.7x
-    // fewer weight bytes streamed.
+    // directly — same session API, no decode step: the 3-bit index
+    // stream stays resident and rows are decoded right before the
+    // kernel streams over them. Its logits approximate fp32's, so
+    // compare predictions, throughput and resident weight bytes.
     ModelQuantOptions qopt;
     qopt.base.bits = 3;
     qopt.threads = threads;
-    InferenceSession unpacked(QuantizedBertModel(model, qopt),
-                              ExecContext::parallel(threads));
-    qopt.format = WeightFormat::Packed;
     InferenceSession packed(QuantizedBertModel(model, qopt),
                             ExecContext::parallel(threads));
-
-    // Format contract: Packed and Unpacked logits agree bit for bit.
-    auto qu = unpacked.headLogitsBatch(batch);
     auto qp = packed.headLogitsBatch(batch);
-    identical = true;
+    std::size_t agree = 0;
     for (std::size_t i = 0; i < batch.size(); ++i)
-        for (std::size_t j = 0; j < qu[i].size(); ++j)
-            identical &= qu[i](j) == qp[i](j);
-    std::printf("packed == unpacked logits:  %s\n",
-                identical ? "bit-identical" : "MISMATCH");
+        agree += argmax(qp[i].flat()) == argmax(b[i].flat());
+    std::printf("packed vs fp32 argmax agreement: %zu / %zu\n", agree,
+                batch.size());
 
-    ServeStats ut = serve(unpacked, batch, reps);
     ServeStats qt = serve(packed, batch, reps);
-    printStats("qexec unpacked:", ut);
     printStats("qexec packed:  ", qt);
-    std::printf("                (3-bit weights, resident %zu /"
-                " %zu KiB)\n",
-                unpacked.residentWeightBytes() / 1024,
-                packed.residentWeightBytes() / 1024);
+    std::printf("                (%.2fx fp32 parallel; 3-bit weights,"
+                " resident %zu / %zu KiB fp32)\n",
+                qt.tokensPerSec / pt.tokensPerSec,
+                packed.residentWeightBytes() / 1024,
+                parallel.residentWeightBytes() / 1024);
     return 0;
 }

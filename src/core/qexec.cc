@@ -10,28 +10,17 @@
 #include "obs/observer.hh"
 #include "obs/probe.hh"
 #include "tensor/ops.hh"
-#include "util/bitstream.hh"
 #include "util/logging.hh"
 
 namespace gobo {
 
 QuantizedLinear::QuantizedLinear(QuantizedTensor w, Tensor b,
-                                 WeightFormat format, std::string name)
-    : weights(std::move(w)), bias(std::move(b)), fmt(format),
-      label(std::move(name)), scratchId(nextScratchOwnerId())
+                                 std::string name)
+    : weights(std::move(w)), bias(std::move(b)), label(std::move(name))
 {
     weights.check();
     fatalIf(bias.size() != weights.rows, "QuantizedLinear bias size ",
             bias.size(), " != out features ", weights.rows);
-
-    if (fmt == WeightFormat::Unpacked) {
-        // Widen the index stream once; B <= 8 so a byte per weight.
-        auto idx32 = unpackIndexes(weights.packedIndexes, weights.bits,
-                                   weights.elementCount());
-        indexes.reserve(idx32.size());
-        for (auto v : idx32)
-            indexes.push_back(static_cast<std::uint8_t>(v));
-    }
 
     // Group outlier corrections by row, in ascending column order
     // (positions are sorted). The index slot under an outlier still
@@ -52,16 +41,6 @@ QuantizedLinear::QuantizedLinear(QuantizedTensor w, Tensor b,
         outlierRowStart[r + 1] += outlierRowStart[r];
 }
 
-void
-QuantizedLinear::decodeRow(const KernelSet &kn, std::size_t row,
-                           std::uint8_t *out) const
-{
-    const std::size_t n = weights.cols;
-    kn.decodePackedRow(weights.packedIndexes.data(),
-                       weights.packedIndexes.size(),
-                       row * n * weights.bits, weights.bits, n, out);
-}
-
 Tensor
 QuantizedLinear::forward(const ExecContext &ctx, const Tensor &x) const
 {
@@ -80,16 +59,13 @@ QuantizedLinear::forward(const ExecContext &ctx, const Tensor &x) const
         obs->metrics.add(obs->qexecBytesStreamed, residentBytes());
         obs->metrics.add(obs->qexecOutlierCorrections,
                          seq * outliers.size());
-        if (fmt == WeightFormat::Unpacked)
-            obs->metrics.add(obs->qexecDecodeUnpacked);
-        else if (8 % weights.bits == 0)
+        if (8 % weights.bits == 0)
             obs->metrics.add(obs->qexecDecodeLut);
         else if (weights.bits == 3)
             obs->metrics.add(obs->qexecDecodeGroup24);
         else
             obs->metrics.add(obs->qexecDecodeScalar);
-        if (fmt == WeightFormat::Packed)
-            obs->metrics.add(obs->qexecRowsDecoded, out);
+        obs->metrics.add(obs->qexecRowsDecoded, out);
 
         // Per-layer mirrors of the traffic counters, keyed by the span
         // label — the measured inputs of memsim's per-layer energy
@@ -99,8 +75,7 @@ QuantizedLinear::forward(const ExecContext &ctx, const Tensor &x) const
         obs->metrics.add(lids.bytesStreamed, residentBytes());
         obs->metrics.add(lids.outlierCorrections,
                          seq * outliers.size());
-        if (fmt == WeightFormat::Packed)
-            obs->metrics.add(lids.rowsDecoded, out);
+        obs->metrics.add(lids.rowsDecoded, out);
     }
 
     // Grid of output-row blocks x blocks of kFcRows-row activation
@@ -108,13 +83,7 @@ QuantizedLinear::forward(const ExecContext &ctx, const Tensor &x) const
     // when rows cannot feed every task. Each task carries at least the
     // context's parallel grain of flops. Every y(s, o) is one
     // centroidFma output in the canonical order (kernels/kernels.hh),
-    // so no grid, thread count, backend, format or tier moves a bit.
-    // Packed blocks are decoded into the thread's scratch arena
-    // (exec/scratch.hh), whose cache can carry them across forwards.
-    const KernelSet &kn = resolveKernels(ctx.kernels);
-    bool packed = fmt == WeightFormat::Packed;
-    const Observer::QexecLayerIds *lids_ptr =
-        ctx.obs && packed ? &ctx.obs->layerIds(label) : nullptr;
+    // so no grid, thread count, backend or tier moves a bit.
     std::size_t groups = (seq + kFcRows - 1) / kFcRows;
     std::size_t flops = 2 * seq * in * out;
     std::size_t grain = ctx.grainFlops != 0
@@ -132,6 +101,7 @@ QuantizedLinear::forward(const ExecContext &ctx, const Tensor &x) const
     std::size_t rblock = (out + rblocks - 1) / rblocks;
     std::size_t gblock = (groups + gblocks - 1) / gblocks;
 
+    const KernelSet &kn = resolveKernels(ctx.kernels);
     ctx.parallelFor(n_tasks, flops / n_tasks + 1, [&](std::size_t task) {
         std::size_t rb = task / gblocks, gb = task % gblocks;
         std::size_t o0 = rb * rblock;
@@ -140,29 +110,12 @@ QuantizedLinear::forward(const ExecContext &ctx, const Tensor &x) const
         std::size_t s1 = std::min(s0 + gblock * kFcRows, seq);
         if (o0 >= o1 || s0 >= s1)
             return;
-        const std::uint8_t *rows =
-            packed ? nullptr : indexes.data() + o0 * in;
-        if (packed) {
-            struct DecodeCtx
-            {
-                const QuantizedLinear *layer;
-                const KernelSet *kn;
-            } dctx{this, &kn};
-            bool hit = false;
-            rows = execScratch().decodedRows(
-                scratchId, rb, o0, o1, in,
-                [](const void *c, std::size_t row, std::uint8_t *dst) {
-                    const auto *d = static_cast<const DecodeCtx *>(c);
-                    d->layer->decodeRow(*d->kn, row, dst);
-                },
-                &dctx, &hit);
-            // Sharded counters are thread-safe, so tasks report their
-            // cache outcome directly (in rows, matching rows_decoded).
-            if (lids_ptr)
-                ctx.obs->metrics.add(hit ? lids_ptr->decodeCacheHits
-                                         : lids_ptr->decodeCacheMisses,
-                                     o1 - o0);
-        }
+        std::uint8_t *rows = execScratch().decodeBuffer(o1 - o0, in);
+        for (std::size_t o = o0; o < o1; ++o)
+            kn.decodePackedRow(weights.packedIndexes.data(),
+                               weights.packedIndexes.size(),
+                               o * in * weights.bits, weights.bits, in,
+                               rows + (o - o0) * in);
         // Activation rows outer: kFcRows rows of x stay in L1 while
         // the block's index rows stream past them.
         for (std::size_t s = s0; s < s1; s += kFcRows) {
@@ -213,12 +166,8 @@ QuantizedLinear::denseOpCounts(std::size_t seq) const
 std::size_t
 QuantizedLinear::residentBytes() const
 {
-    std::size_t n = weights.elementCount();
-    std::size_t c = weights.centroids.size();
-    std::size_t o = outliers.size();
-    return fmt == WeightFormat::Packed
-               ? packedResidentBytes(n, weights.bits, c, o)
-               : unpackedResidentBytes(n, c, o);
+    return packedResidentBytes(weights.elementCount(), weights.bits,
+                               weights.centroids.size(), outliers.size());
 }
 
 namespace {
@@ -233,8 +182,7 @@ makeLayer(const Tensor &w, const Tensor &b, FcKind kind,
         kind == FcKind::Pooler
             ? fcKindName(kind)
             : "enc[" + std::to_string(encoder) + "]." + fcKindName(kind);
-    return {quantizeTensor(w, cfg), b, options.format,
-            std::move(label)};
+    return {quantizeTensor(w, cfg), b, std::move(label)};
 }
 
 } // namespace
@@ -242,7 +190,6 @@ makeLayer(const Tensor &w, const Tensor &b, FcKind kind,
 QuantizedBertModel::QuantizedBertModel(const BertModel &model,
                                        const ModelQuantOptions &options)
     : cfg(model.config()),
-      fmt(options.format),
       wordEmbedding(model.wordEmbedding),
       positionEmbedding(model.positionEmbedding),
       embLnGamma(model.embLnGamma),

@@ -17,8 +17,11 @@
  * row stays in B-bit (or byte) form, each weight is looked up in
  * registers right before its fused multiply-add, and the centroid
  * table never leaves a vector register for B <= 4
- * (KernelSet::centroidFma). That streams B/32 of the fp32 weight
- * bytes at FMA speed, which is where the latency claim comes from.
+ * (KernelSet::centroidFma). The index stream stays packed in memory;
+ * each task decodes its block of rows into a per-thread buffer
+ * (exec/scratch.hh) right before the kernel streams over it. That
+ * streams B/32 of the fp32 weight bytes at FMA speed, which is where
+ * the latency claim comes from.
  */
 
 #ifndef GOBO_CORE_QEXEC_HH
@@ -57,17 +60,14 @@ struct OpCounts
  * y = x * W^T + bias with W held as (indexes, centroid table,
  * outliers) — never decoded to FP32.
  *
- * The index stream can be held in either WeightFormat: Unpacked widens
- * every index to one byte at construction (decode-free access, ~8/B
- * times the container bytes resident); Packed keeps only the B-bit
- * stream resident and decodes one output row at a time through the
- * executing tier's KernelSet::decodePackedRow — the generic decoder
- * uses a per-byte LUT (B dividing 8), a per-3-byte-group extraction
- * (B = 3), or a scalar two-byte window (B = 5..7); the avx512 tier
- * expands 64 indexes at a time in-register for B <= 6. Decode is
- * integer-exact, so every tier produces identical bytes, and both
- * formats feed the identical centroidFma arithmetic — outputs are
- * bit-identical across formats and tiers.
+ * Only the B-bit index stream is resident. Rows are decoded to one
+ * byte per index through the executing tier's
+ * KernelSet::decodePackedRow — the generic decoder uses a per-byte LUT
+ * (B dividing 8), a per-3-byte-group extraction (B = 3), or a scalar
+ * two-byte window (B = 5..7); the avx512 tier expands 64 indexes at a
+ * time in-register for B <= 6. Decode is integer-exact, so every tier
+ * produces identical bytes and feeds the identical centroidFma
+ * arithmetic — outputs are bit-identical across tiers.
  */
 class QuantizedLinear
 {
@@ -78,31 +78,26 @@ class QuantizedLinear
      * ("enc[e].query" etc. when built by QuantizedBertModel).
      */
     QuantizedLinear(QuantizedTensor weights, Tensor bias,
-                    WeightFormat format = WeightFormat::Unpacked,
                     std::string label = "qlinear");
 
     /**
      * Forward pass: y = x * W^T + bias for x of shape [seq, in]. The
      * layer's weight rows are split into blocks over a flop-gated
      * 2-D grid (output-row blocks x groups of kFcRows activation
-     * rows) on the context's backend. A task takes its block's index
-     * rows — the Unpacked bytes directly, or Packed rows decoded once
-     * into the worker's scratch arena (exec/scratch.hh) — and runs the
-     * executing tier's KernelSet::centroidFma on up to kFcRows rows of
-     * x at a time, read in place (no transpose). Every y(s, o) is one
-     * centroidFma output in the canonical order of kernels/kernels.hh
-     * (16 fmaf partials, a fixed +8/+4/+2/+1 tree, bias, outlier
-     * fmafs), so backends, weight formats, kernel tiers, thread counts
+     * rows) on the context's backend. A task decodes its block's
+     * index rows into the worker's decode buffer (exec/scratch.hh)
+     * and runs the executing tier's KernelSet::centroidFma on up to
+     * kFcRows rows of x at a time, read in place (no transpose). Every
+     * y(s, o) is one centroidFma output in the canonical order of
+     * kernels/kernels.hh (16 fmaf partials, a fixed +8/+4/+2/+1 tree,
+     * bias, outlier fmafs), so backends, kernel tiers, thread counts
      * and grid shapes are all bit-identical. The hot path never
-     * allocates after warm-up.
+     * allocates after warm-up (besides the returned tensor).
      *
      * With an observer on the context, each call records one span
      * (named by `label`) plus qexec.* counters: rows decoded, weight
-     * bytes streamed, outlier corrections applied, which decode
-     * path ran (decode.lut / decode.group24 / decode.scalar /
-     * decode.unpacked), and per-layer decoded-row cache hits/misses
-     * (qexec.layer.<label>.decode_cache_hits/_misses — how the
-     * pooler's cross-forward cache residency shows up in metrics).
+     * bytes streamed, outlier corrections applied, and which decode
+     * path ran (decode.lut / decode.group24 / decode.scalar).
      * Instrumentation happens outside the kernel loops and never
      * touches float math.
      */
@@ -130,36 +125,20 @@ class QuantizedLinear
     /** The compressed weights (for storage accounting). */
     const QuantizedTensor &compressed() const { return weights; }
 
-    /** How the index stream is held at runtime. */
-    WeightFormat format() const { return fmt; }
-
     /** Trace-span name for this layer. */
     const std::string &spanLabel() const { return label; }
 
     /**
      * Bytes of weight state the forward pass actually streams: the
-     * index store in its runtime format plus the centroid table and
-     * outlier pairs (bias excluded, matching the paper's FC-weights
-     * accounting).
+     * packed index stream plus the centroid table and outlier pairs
+     * (bias excluded, matching the paper's FC-weights accounting).
      */
     std::size_t residentBytes() const;
 
   private:
-    /** Decode row `row`'s `cols` indexes from the packed stream via
-     * tier `kn`'s decoder (any tier yields identical bytes). */
-    void decodeRow(const KernelSet &kn, std::size_t row,
-                   std::uint8_t *out) const;
-
     QuantizedTensor weights;
     Tensor bias;
-    WeightFormat fmt;
     std::string label;
-    /** Process-unique tag for this layer's rows in the scratch-arena
-     * decode cache (exec/scratch.hh); never a pointer, so a layer
-     * reusing a freed layer's address cannot alias its cache. */
-    std::uint64_t scratchId;
-    /** Unpacked per-weight centroid indexes, row-major (Unpacked only). */
-    std::vector<std::uint8_t> indexes;
     /**
      * One (column, correction) pair per outlier, grouped by row in
      * ascending column order, in the kernel layer's layout
@@ -174,8 +153,7 @@ class QuantizedLinear
  * A whole model executing its FC layers from the compressed format.
  * Embeddings/biases/norms stay FP32 (as in the paper); the forward
  * pass mirrors nn/encoder exactly, so predictions match a decoded
- * model up to FP reassociation. All FC layers share one WeightFormat
- * (options.format); Packed and Unpacked models are bit-identical.
+ * model up to FP reassociation.
  */
 class QuantizedBertModel
 {
@@ -218,9 +196,6 @@ class QuantizedBertModel
     void forEachLayer(
         const std::function<void(const QuantizedLinear &)> &fn) const;
 
-    /** The runtime index format every FC layer uses. */
-    WeightFormat format() const { return fmt; }
-
     const ModelConfig &config() const { return cfg; }
 
   private:
@@ -231,7 +206,6 @@ class QuantizedBertModel
     };
 
     ModelConfig cfg;
-    WeightFormat fmt;
     Tensor wordEmbedding, positionEmbedding, embLnGamma, embLnBeta;
     std::vector<EncoderLayers> encoders;
     QuantizedLinear pooler;

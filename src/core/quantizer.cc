@@ -1,10 +1,10 @@
 #include "core/quantizer.hh"
 
 #include "core/outliers.hh"
+#include "exec/threadpool.hh"
 #include "model/generate.hh"
 #include "util/bitstream.hh"
 #include "util/logging.hh"
-#include "util/parallel.hh"
 
 namespace gobo {
 
@@ -143,7 +143,8 @@ quantizeModelInPlace(BertModel &model, const ModelQuantOptions &options)
 
     auto layers = model.fcLayers();
     std::vector<LayerReportEntry> entries(layers.size());
-    parallelFor(layers.size(), options.threads, [&](std::size_t i) {
+    ThreadPool &pool = ThreadPool::shared();
+    pool.run(layers.size(), options.threads, [&](std::size_t i) {
         auto &layer = layers[i];
         GoboConfig cfg = options.base;
         cfg.bits = options.effectiveBits(layer.kind, layer.encoder);
@@ -183,7 +184,8 @@ quantizeConfigStreaming(const ModelConfig &config, std::uint64_t seed,
 
     auto specs = fcLayerSpecs(config);
     std::vector<LayerReportEntry> entries(specs.size());
-    parallelFor(specs.size(), options.threads, [&](std::size_t i) {
+    ThreadPool &pool = ThreadPool::shared();
+    pool.run(specs.size(), options.threads, [&](std::size_t i) {
         const auto &spec = specs[i];
         Tensor w = generateFcWeight(config, spec, seed);
         GoboConfig cfg = options.base;

@@ -83,13 +83,9 @@ struct ModelQuantOptions
      * matching the paper's deployment claim.
      */
     std::size_t threads = 1;
-    /**
-     * Runtime index format for compressed-domain engines built from
-     * these options (QuantizedBertModel). Packed keeps the B-bit
-     * stream resident; Unpacked widens to a byte per weight. The two
-     * are bit-identical on outputs.
-     */
-    WeightFormat format = WeightFormat::Unpacked;
+    /** Always Packed; kept only for the frozen perfbench/ harness
+     * (see WeightFormat in exec/context.hh). */
+    WeightFormat format = WeightFormat::Packed;
 
     /** Effective width for one layer. */
     unsigned effectiveBits(FcKind kind, std::size_t encoder) const;

@@ -40,27 +40,16 @@ backendName(Backend b)
 }
 
 /**
- * How a compressed-domain engine holds its weight indexes at runtime.
- *
- * Unpacked trades memory for decode-free access: every B-bit index is
- * widened to one byte at load time, so a 3-bit model streams ~2.7x the
- * bytes its container occupies. Packed keeps the B-bit stream resident
- * — the paper's memory-traffic story — and decodes rows on the fly
- * inside the bucket-accumulation kernel. Both formats are bit-identical
- * on outputs; the choice only moves bytes.
+ * The compressed engine's runtime index format. Packed — the B-bit
+ * index stream stays resident and is decoded per row block on the fly
+ * — is the only format; nothing branches on this value. The enum, the
+ * ModelQuantOptions::format and ExecContext::weightFormat fields are
+ * kept only so the frozen perfbench/ harness still compiles.
  */
 enum class WeightFormat
 {
-    Unpacked, ///< one byte per weight index, decoded at load time.
-    Packed,   ///< the B-bit index stream stays resident.
+    Packed, ///< the B-bit index stream stays resident.
 };
-
-/** Printable weight-format name. */
-inline const char *
-weightFormatName(WeightFormat f)
-{
-    return f == WeightFormat::Unpacked ? "unpacked" : "packed";
-}
 
 /**
  * The execution environment a forward pass runs in: a backend, a
@@ -75,14 +64,9 @@ struct ExecContext
     std::size_t threads = 1;
     /** Pool to draw workers from; nullptr means ThreadPool::shared(). */
     ThreadPool *pool = nullptr;
-    /**
-     * Weight format compressed-domain engines built under this context
-     * should use. Construction-time preference: call sites that
-     * quantize a model for this context (CLI, benches, sessions) read
-     * it when building the QuantizedBertModel; it does not reformat an
-     * engine that already exists.
-     */
-    WeightFormat weightFormat = WeightFormat::Unpacked;
+    /** Always Packed; kept only for the frozen perfbench/ harness
+     * (see WeightFormat). */
+    WeightFormat weightFormat = WeightFormat::Packed;
     /**
      * Observability sink for spans and counters (obs/observer.hh);
      * null (the default) disables instrumentation at the cost of one

@@ -1,39 +1,25 @@
 /**
  * @file
- * Per-worker scratch arenas for the compressed-domain hot path.
+ * Per-worker decode buffers for the compressed-domain hot path.
  *
  * The quantized FC engine needs one kind of transient storage per
- * task: for Packed layers, the decoded byte-per-weight index rows.
- * Allocating them inside the parallel loop puts malloc on the hot path
- * and (worse) re-decodes a packed row for every task that touches it.
- * A ScratchArena is owned by
- * exactly one thread (the accessor is thread_local, and the pool's
+ * task: the block of byte-per-weight index rows it decodes from the
+ * packed B-bit stream before running the FMA kernel over them.
+ * Allocating that block inside the parallel loop would put malloc on
+ * the hot path, so each thread owns one ScratchArena holding a single
+ * grow-only buffer (the accessor is thread_local, and the pool's
  * workers are persistent, so in practice arenas are keyed by worker
- * slot): buffers grow monotonically and are reused across tasks,
- * layers, and forwards without synchronization.
+ * slot). The buffer grows to the largest block the thread has decoded
+ * and is reused across tasks, layers and forwards without
+ * synchronization; after warm-up the hot path never allocates.
  *
  * Ownership rule: a pointer obtained from the arena is valid until the
- * *same thread* asks the arena for anything else — tasks must finish
+ * *same thread* asks the arena for another buffer — tasks must finish
  * with their scratch before returning to the pool, and must not ask
  * for scratch on behalf of another thread. Nothing in the arena is
- * ever shared across threads, which is also why it cannot affect
- * determinism: scratch holds decoded indexes, a pure function of the
- * weights.
- *
- * The decoded-row cache is a bounded multi-slot cache tagged by
- * (owner id, row block, row range, cols): each slot holds one decoded
- * row block, the per-arena byte budget comes from GOBO_DECODE_CACHE_KB
- * (default 1024 KB; 0 disables caching), and eviction is clock /
- * second-chance — a slot referenced since the hand last passed gets
- * one more revolution. Because slots persist across forwards, hot
- * small layers (the pooler runs on every request) stop paying bit
- * unpacking entirely after warm-up. A request larger than the budget
- * bypasses the cache into a transient buffer, preserving the old
- * single-use behavior. Owners are identified by a process-unique id
- * (never a pointer, which could be reused after a layer is
- * destroyed), so a new layer can never alias a dead one's slots.
- * Cache capacity is charged to the run's resident footprint
- * (model/footprint.hh), keeping the compression story honest.
+ * ever shared across threads or kept across tasks, which is also why
+ * it cannot affect determinism: scratch holds decoded indexes, a pure
+ * function of the weights.
  */
 
 #ifndef GOBO_EXEC_SCRATCH_HH
@@ -47,86 +33,46 @@
 namespace gobo {
 
 /** Aggregate scratch counters across every live arena (see
- * scratchStats()). Decode hits/misses are counted in rows; the cache
- * fields are bytes (held / budgeted) and evicted slots. */
+ * scratchStats()). */
 struct ScratchStats
 {
-    std::uint64_t arenas = 0;       ///< threads that touched scratch.
+    std::uint64_t arenas = 0;        ///< threads that touched scratch.
     std::uint64_t bytesReserved = 0; ///< sum of buffer capacities.
-    std::uint64_t decodeRowHits = 0; ///< rows served from the cache.
-    std::uint64_t decodeRowMisses = 0; ///< rows actually decoded.
-    std::uint64_t decodeCacheBytes = 0; ///< decoded bytes held.
-    std::uint64_t decodeCacheCapacity = 0; ///< sum of arena budgets.
-    std::uint64_t decodeCacheEvictions = 0; ///< slots evicted.
+    std::uint64_t decodeRowMisses = 0; ///< index rows decoded.
+    /** Always 0: nothing is cached. Kept only so the frozen
+     * perfbench/ harness still compiles. */
+    std::uint64_t decodeRowHits = 0;
+    /** Always 0: nothing is cached. Kept only so the frozen
+     * perfbench/ harness still compiles. */
+    std::uint64_t decodeCacheBytes = 0;
 };
 
-/** One thread's grow-only scratch buffers. Not thread-safe by design;
+/** One thread's grow-only decode buffer. Not thread-safe by design;
  * reach it through execScratch() only. */
 class ScratchArena
 {
   public:
-    /** Budget defaults to decodeCacheBudgetBytes() (the env knob). */
-    explicit ScratchArena(std::size_t cacheBudget = std::size_t(-1));
+    ScratchArena();
     ~ScratchArena();
     ScratchArena(const ScratchArena &) = delete;
     ScratchArena &operator=(const ScratchArena &) = delete;
 
-    /** Decode callback: write row `row`'s indexes (one byte each) to
-     * `out`. `ctx` is the owner object the caller captured. */
-    using RowDecodeFn = void (*)(const void *ctx, std::size_t row,
-                                 std::uint8_t *out);
-
     /**
-     * Decoded indexes for rows [row0, row1) of owner `ownerId`, one
-     * byte per weight, `cols` per row, consecutive rows `cols` apart.
-     * Served from the slot whose tag (ownerId, block, row0, row1,
-     * cols) matches; otherwise decode(ctx, row, dst) is invoked once
-     * per row into a cache slot (evicting clock-wise to fit the
-     * budget) or, for blocks larger than the whole budget, into a
-     * transient buffer. The pointer is invalidated by the next
-     * decodedRows() call. `hit`, when
-     * non-null, reports whether the block came from cache.
+     * A buffer for `rows` decoded index rows of `cols` bytes each,
+     * which the caller fills; the rows are counted as decoded. The
+     * buffer only grows, and the pointer is invalidated by the next
+     * call on this arena.
      */
-    const std::uint8_t *decodedRows(std::uint64_t ownerId,
-                                    std::size_t block, std::size_t row0,
-                                    std::size_t row1, std::size_t cols,
-                                    RowDecodeFn decode, const void *ctx,
-                                    bool *hit = nullptr);
-
-    /** Replace the cache budget, dropping every cached slot (test and
-     * tooling hook; the hot path never calls this). */
-    void setDecodeCacheBudget(std::size_t bytes);
-
-    /** This arena's cache budget in bytes. */
-    std::size_t decodeCacheBudget() const { return budget; }
+    std::uint8_t *decodeBuffer(std::size_t rows, std::size_t cols);
 
   private:
     friend ScratchStats scratchStats();
 
-    /** One cached row block; `owner == kEmptyTag` means free. */
-    struct Slot
-    {
-        std::uint64_t owner;
-        std::size_t block, row0, row1, cols;
-        bool referenced; ///< clock second-chance bit.
-        std::vector<std::uint8_t> buf;
-    };
-    static constexpr std::uint64_t kEmptyTag = ~std::uint64_t{0};
-
-    void updateReserved();
-
-    std::vector<std::uint8_t> rowBuf; ///< over-budget transient blocks.
-    std::vector<Slot> slots;
-    std::size_t clockHand = 0;
-    std::size_t budget;
-    std::size_t heldBytes = 0; ///< sum of live slots' buf sizes.
+    std::vector<std::uint8_t> buf;
 
     // Relaxed atomics: bumped only by the owning thread, read by
     // scratchStats() from anywhere.
-    std::atomic<std::uint64_t> rowHits{0};
-    std::atomic<std::uint64_t> rowMisses{0};
-    std::atomic<std::uint64_t> evictions{0};
-    std::atomic<std::uint64_t> cacheBytes{0};
+    std::atomic<std::uint64_t> rowsDecoded{0};
     std::atomic<std::size_t> reserved{0};
 };
 
@@ -137,16 +83,8 @@ ScratchArena &execScratch();
 /** Snapshot of every live arena's counters, for telemetry export. */
 ScratchStats scratchStats();
 
-/** A process-unique id for tagging decoded rows in the arenas. Taken
- * once per owner (e.g. per QuantizedLinear) at construction. */
-std::uint64_t nextScratchOwnerId();
-
-/**
- * The per-arena decoded-row cache budget: GOBO_DECODE_CACHE_KB
- * kilobytes (strictly parsed; invalid values warn and fall back),
- * default 1024 KB. 0 disables caching — every block decodes into the
- * transient buffer.
- */
+/** Always 0: there is no decoded-row cache. Kept only so the frozen
+ * perfbench/ harness still compiles. */
 std::size_t decodeCacheBudgetBytes();
 
 } // namespace gobo

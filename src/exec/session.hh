@@ -65,14 +65,8 @@ class InferenceSession
     bool compressed() const { return quantized.has_value(); }
 
     /**
-     * Runtime index format of the compressed engine (Unpacked for an
-     * FP32 session, which has no index stream).
-     */
-    WeightFormat weightFormat() const;
-
-    /**
      * Bytes of FC-weight state the forward pass streams: FP32 weights
-     * for the dense engine, the runtime-format index stream plus
+     * for the dense engine, the packed index stream plus
      * centroid/outlier state for the compressed one.
      */
     std::size_t residentWeightBytes() const;

@@ -27,11 +27,10 @@
  * optional per-context override for tests and tools; a null pointer
  * means the process-wide active tier.
  *
- * Determinism contract (DESIGN.md §11): Serial/Parallel backends and
- * Packed/Unpacked formats are bit-identical *within* a tier; across
- * tiers, quantized FC outputs are bit-identical (every tier's
- * centroidFma follows the canonical order below) while dense ops
- * carry tolerance-level differences. Row decode produces exact bytes
+ * Determinism contract (DESIGN.md §11): Serial/Parallel backends are
+ * bit-identical *within* a tier; across tiers, quantized FC outputs
+ * are bit-identical (every tier's centroidFma follows the canonical
+ * order below) while dense ops carry tolerance-level differences. Row decode produces exact bytes
  * (a pure function of the packed stream), so every tier's decoder is
  * interchangeable. NaN and Inf propagate through every kernel in
  * every tier.
@@ -134,7 +133,7 @@ struct KernelSet
      * bits into the packed stream `bytes` (of `byteLen` total bytes),
      * into one byte each. Decode is integer-exact, so tiers may
      * restructure it freely — the output bytes are identical across
-     * tiers and the decoded-row cache never keys on the tier.
+     * tiers.
      */
     void (*decodePackedRow)(const std::uint8_t *bytes,
                             std::size_t byteLen, std::size_t bitOffset,

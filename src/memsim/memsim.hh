@@ -94,7 +94,7 @@ struct MeasuredTraffic
     std::string layer;                   ///< Span label, "enc[0].query".
     std::uint64_t forwards = 0;          ///< Forward passes observed.
     std::uint64_t bytesStreamed = 0;     ///< Weight bytes streamed.
-    std::uint64_t rowsDecoded = 0;       ///< Packed rows decoded.
+    std::uint64_t rowsDecoded = 0;       ///< Index rows decoded.  
     std::uint64_t outlierCorrections = 0;///< Correction MACs applied.
     double macs = 0.0;                   ///< Derived MACs for `forwards`.
 };
@@ -115,8 +115,8 @@ struct LayerAttribution
 /**
  * Attribute energy and bandwidth-bound latency to each layer from its
  * measured traffic. Unlike estimate(), the weight bytes here are what
- * the execution engine streamed (compressed container bytes for
- * Packed, widened indexes for Unpacked) — the analytical on-chip
+ * the execution engine streamed (the packed index stream plus
+ * centroid and outlier state) — the analytical on-chip
  * activation term has no measured counterpart and is deliberately
  * excluded, so totals cover DRAM + compute only.
  */

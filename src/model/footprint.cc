@@ -2,8 +2,6 @@
 
 #include <cstdint>
 
-#include "exec/scratch.hh"
-
 namespace gobo {
 
 Footprint
@@ -33,13 +31,6 @@ tableAndOutlierBytes(std::size_t centroid_count, std::size_t outlier_count)
 } // namespace
 
 std::size_t
-unpackedResidentBytes(std::size_t elements, std::size_t centroid_count,
-                      std::size_t outlier_count)
-{
-    return elements + tableAndOutlierBytes(centroid_count, outlier_count);
-}
-
-std::size_t
 packedResidentBytes(std::size_t elements, unsigned bits,
                     std::size_t centroid_count, std::size_t outlier_count)
 {
@@ -48,9 +39,9 @@ packedResidentBytes(std::size_t elements, unsigned bits,
 }
 
 std::size_t
-decodeCacheResidentBytes(std::size_t threads)
+decodeCacheResidentBytes(std::size_t)
 {
-    return threads * decodeCacheBudgetBytes();
+    return 0;
 }
 
 double

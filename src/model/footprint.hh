@@ -34,32 +34,21 @@ Footprint footprint(const ModelConfig &config,
                     std::size_t sequence_length = 128);
 
 /**
- * Resident bytes of one compressed FC matrix executed in the Unpacked
- * format: one byte per widened index, plus the FP32 centroid table and
- * the per-outlier (u32 column, f32 correction) pairs the kernel holds.
- */
-std::size_t unpackedResidentBytes(std::size_t elements,
-                                  std::size_t centroid_count,
-                                  std::size_t outlier_count);
-
-/**
- * Resident bytes of the same matrix executed in the Packed format: the
- * B-bit index stream stays packed (`ceil(elements * bits / 8)` bytes),
- * so the resident set is ~bits/32 of FP32 plus the same centroid-table
- * and outlier overhead — the ratio the paper's Table II implies.
+ * Resident bytes of one compressed FC matrix as the engine executes
+ * it: the B-bit index stream stays packed (`ceil(elements * bits / 8)`
+ * bytes), plus the FP32 centroid table and the per-outlier (u32
+ * column, f32 correction) pairs the kernel holds — ~bits/32 of FP32,
+ * the ratio the paper's Table II implies.
  */
 std::size_t packedResidentBytes(std::size_t elements, unsigned bits,
                                 std::size_t centroid_count,
                                 std::size_t outlier_count);
 
 /**
- * Decoded-row cache capacity charged to a Packed run's resident
- * footprint: one per-arena budget (exec/scratch.hh,
- * GOBO_DECODE_CACHE_KB) per executing thread, since every thread that
- * touches a Packed forward owns an arena. The charge keeps the
- * compression story honest — cached decoded rows are resident bytes
- * the packed format would otherwise claim to have saved. Unpacked and
- * FP32 runs never populate the cache and charge nothing.
+ * Always 0. Kept only so the frozen perfbench/ harness still compiles:
+ * there is no decoded-row cache any more. The per-thread decode buffer
+ * (exec/scratch.hh) is per-task working memory, not resident weight
+ * state, and is counted in the process's peak RSS (`peak_rss_mib`).
  */
 std::size_t decodeCacheResidentBytes(std::size_t threads);
 

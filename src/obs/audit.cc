@@ -135,7 +135,6 @@ auditModel(const BertModel &model, const AuditOptions &options)
     AuditReport report;
     report.model = model.config().name;
     report.bits = options.quant.base.bits;
-    report.format = options.quant.format;
     report.sequences = options.sequences;
     report.seqLen = options.seqLen;
     report.seed = options.seed;
@@ -207,7 +206,6 @@ auditModel(const BertModel &model, const AuditOptions &options)
         qobs.pmu = options.pmu;
     {
         ExecContext ctx = ExecContext::serial();
-        ctx.weightFormat = options.quant.format;
         ctx.obs = &qobs;
         InferenceSession session(std::move(qmodel), ctx);
         for (const auto &seq : batch)
@@ -281,8 +279,8 @@ writeAuditJson(const AuditReport &r, std::ostream &os)
 {
     os << "{\n  \"schema\": \"gobo-audit-v2\",\n  \"model\": \""
        << jsonEscape(r.model) << "\",\n  \"bits\": " << r.bits
-       << ",\n  \"format\": \"" << weightFormatName(r.format)
-       << "\",\n  \"workload\": {\"sequences\": " << r.sequences
+       << ",\n  \"format\": \"packed\",\n  \"workload\": {\"sequences\": "
+       << r.sequences
        << ", \"seq_len\": " << r.seqLen << ", \"seed\": " << r.seed
        << "},\n  \"fidelity\": [";
     bool first = true;
@@ -371,9 +369,8 @@ writeAuditJson(const AuditReport &r, std::ostream &os)
 void
 printAuditReport(const AuditReport &r, std::ostream &os)
 {
-    os << "audit: " << r.model << ", " << r.bits << "b base, "
-       << weightFormatName(r.format) << " format, " << r.sequences
-       << " x " << r.seqLen << " tokens (seed " << r.seed << ")\n\n";
+    os << "audit: " << r.model << ", " << r.bits
+       << "b base, packed format, " << r.sequences << " x " << r.seqLen << " tokens (seed " << r.seed << ")\n\n";
 
     ConsoleTable fid({"Layer", "Bits", "Outliers", "L1", "MSE",
                       "MaxAbs", "Dead", "TopShare"});

@@ -121,7 +121,6 @@ struct AuditReport
 {
     std::string model;     ///< Config name.
     unsigned bits = 0;     ///< Base index width audited.
-    WeightFormat format = WeightFormat::Unpacked;
     std::size_t sequences = 0;
     std::size_t seqLen = 0;
     std::uint64_t seed = 0;

@@ -223,11 +223,7 @@ appendScratchCounters(MetricsSnapshot &snap, const ScratchStats &s)
     };
     put("scratch.arenas", s.arenas);
     put("scratch.bytes_reserved", s.bytesReserved);
-    put("scratch.decode_row_hits", s.decodeRowHits);
-    put("scratch.decode_row_misses", s.decodeRowMisses);
-    put("scratch.decode_cache_bytes", s.decodeCacheBytes);
-    put("scratch.decode_cache_capacity", s.decodeCacheCapacity);
-    put("scratch.decode_cache_evictions", s.decodeCacheEvictions);
+    put("scratch.rows_decoded", s.decodeRowMisses);
 }
 
 void
@@ -258,23 +254,6 @@ appendPmuMetrics(MetricsSnapshot &snap, const PmuSnapshot &pmu)
     snap.gauges.push_back({"pmu.ipc", pmu.ipc()});
     snap.gauges.push_back({"pmu.llc_miss_ratio", pmu.llcMissRatio()});
     snap.gauges.push_back({"pmu.llc_miss_gbps", pmu.llcMissGBps()});
-}
-
-void
-appendScratchGauges(MetricsSnapshot &snap, const ScratchStats &s)
-{
-    std::uint64_t lookups = s.decodeRowHits + s.decodeRowMisses;
-    if (lookups == 0)
-        return;
-    snap.gauges.push_back(
-        {"scratch.decode_row_hit_rate",
-         static_cast<double>(s.decodeRowHits) /
-             static_cast<double>(lookups)});
-    if (s.decodeCacheCapacity > 0)
-        snap.gauges.push_back(
-            {"scratch.decode_cache_fill",
-             static_cast<double>(s.decodeCacheBytes) /
-                 static_cast<double>(s.decodeCacheCapacity)});
 }
 
 std::vector<SpanSummary>

@@ -54,9 +54,8 @@ void appendPoolCounters(MetricsSnapshot &snap, const PoolTelemetry &pool);
 
 /**
  * Fold scratch-arena statistics (exec/scratch.hh) into `snap` as
- * `scratch.*` counters: live arenas, bytes reserved, decoded-row
- * cache hits/misses, and the cache's held bytes, budgeted capacity,
- * and eviction count (`scratch.decode_cache_*`).
+ * `scratch.*` counters: live arenas, bytes reserved by their decode
+ * buffers, and index rows decoded (`scratch.rows_decoded`).
  */
 void appendScratchCounters(MetricsSnapshot &snap, const ScratchStats &s);
 
@@ -78,15 +77,6 @@ void appendTraceCounters(MetricsSnapshot &snap, const Tracer &tracer);
  * counters diff between PMU-on and PMU-off runs stays readable.
  */
 void appendPmuMetrics(MetricsSnapshot &snap, const PmuSnapshot &pmu);
-
-/**
- * Derive the decoded-row cache gauges from scratch counters:
- * `scratch.decode_row_hit_rate` (hits / (hits + misses)) and
- * `scratch.decode_cache_fill` (held bytes / budgeted capacity). No
- * gauge is appended when the run decoded nothing, because 0/0 is not
- * a measurement.
- */
-void appendScratchGauges(MetricsSnapshot &snap, const ScratchStats &s);
 
 /** Aggregate of every span sharing one name. */
 struct SpanSummary

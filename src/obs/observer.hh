@@ -11,9 +11,8 @@
  *
  * Determinism contract: observers only *read* timestamps and *count*
  * events around compute; they never participate in float arithmetic or
- * alter scheduling, so Serial/Parallel and Packed/Unpacked outputs
- * stay bit-identical with observability on (asserted in
- * tests/test_obs.cc).
+ * alter scheduling, so Serial/Parallel outputs stay bit-identical
+ * with observability on (asserted in tests/test_obs.cc).
  */
 
 #ifndef GOBO_OBS_OBSERVER_HH
@@ -46,7 +45,6 @@ class Observer
           qexecDecodeLut(metrics.counter("qexec.decode.lut")),
           qexecDecodeGroup24(metrics.counter("qexec.decode.group24")),
           qexecDecodeScalar(metrics.counter("qexec.decode.scalar")),
-          qexecDecodeUnpacked(metrics.counter("qexec.decode.unpacked")),
           sessionSequences(metrics.counter("session.sequences")),
           sessionBatches(metrics.counter("session.batches")),
           sessionTokens(metrics.counter("session.tokens")),
@@ -102,7 +100,6 @@ class Observer
     CounterId qexecDecodeLut;
     CounterId qexecDecodeGroup24;
     CounterId qexecDecodeScalar;
-    CounterId qexecDecodeUnpacked;
     CounterId sessionSequences;
     CounterId sessionBatches;
     CounterId sessionTokens;
@@ -134,12 +131,6 @@ class Observer
         CounterId rowsDecoded;
         CounterId bytesStreamed;
         CounterId outlierCorrections;
-        // Decoded-row cache outcome per row block (Packed only):
-        // rows served from a scratch-arena slot vs rows decoded. The
-        // pooler showing hits > 0 across forwards is the decode
-        // cache's whole point.
-        CounterId decodeCacheHits;
-        CounterId decodeCacheMisses;
     };
 
     /**
@@ -166,10 +157,6 @@ class Observer
                 metrics.counter(prefix + ".bytes_streamed");
             ids.outlierCorrections =
                 metrics.counter(prefix + ".outlier_corrections");
-            ids.decodeCacheHits =
-                metrics.counter(prefix + ".decode_cache_hits");
-            ids.decodeCacheMisses =
-                metrics.counter(prefix + ".decode_cache_misses");
             it = layerIdsByLabel.emplace(label, ids).first;
         }
         return it->second;

@@ -152,7 +152,7 @@ struct ServeSummary
     /** Digest over (id, status, logits bits) of every response,
      * folded in request-id order so completion order is invisible:
      * the replay-identity gate in BENCH_serve.json. Stable across
-     * backends, thread counts, and weight formats — but only within a
+     * backends and thread counts — but only within a
      * kernel tier: the fp32 task head behind headLogits reassociates
      * on AVX2 (DESIGN.md §11), so the logit bits (and this digest)
      * differ across tiers even for quantized engines. bench_diff
@@ -230,7 +230,7 @@ struct ServeReportMeta
     std::string kernelTier; ///< resolved SIMD tier name.
     std::size_t threads = 1;
     std::string engine; ///< "qexec" or "fp32".
-    std::string format; ///< "packed" or "unpacked".
+    std::string format; ///< weights: "packed" (qexec) or "fp32".
 };
 
 /**

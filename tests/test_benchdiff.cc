@@ -4,8 +4,8 @@
  * block contract (a candidate-only `pmu` block is explicitly skipped,
  * never gated), the unknown-bench error naming the known dispatch
  * keys, the micro_kernels throughput gate, and the tile-width
- * refusals — a forward candidate whose seq_tile or decode_cache_kb
- * stamp differs from the baseline's exits 2, kernel rows sharing a
+ * refusals — a forward candidate whose seq_tile stamp differs from
+ * the baseline's exits 2, kernel rows sharing a
  * key but disagreeing on per-result seq_tile exit 2, and a
  * candidate-only tier prints an explicit not-gated line instead of
  * failing. These run the real script with python3; hosts without an
@@ -159,13 +159,12 @@ TEST(BenchDiffTest, KernelsThroughputCollapseFails)
 /** Minimal forward doc: enough stamps for the environment gates plus
  * empty measurement blocks so a matching pair diffs clean. */
 std::string
-forwardDoc(int seqTile, int cacheKb)
+forwardDoc(int seqTile)
 {
     std::ostringstream os;
     os << "{\n  \"bench\": \"micro_forward\",\n"
        << "  \"kernel_tier\": \"generic\",\n  \"threads\": 1,\n"
        << "  \"seq_tile\": " << seqTile << ",\n"
-       << "  \"decode_cache_kb\": " << cacheKb << ",\n"
        << "  \"results\": [], \"scaling\": [], \"spans\": []\n}\n";
     return os.str();
 }
@@ -176,26 +175,12 @@ TEST(BenchDiffTest, ForwardSeqTileMismatchIsRefused)
         GTEST_SKIP() << "python3 not available";
 
     DiffResult r =
-        runDiff(writeTemp("fbase_tile.json", forwardDoc(8, 1024)),
-                writeTemp("fcand_tile.json", forwardDoc(16, 1024)));
+        runDiff(writeTemp("fbase_tile.json", forwardDoc(8)),
+                writeTemp("fcand_tile.json", forwardDoc(16)));
     EXPECT_EQ(r.exit, 2) << r.output;
     EXPECT_NE(r.output.find("seq_tile mismatch"), std::string::npos)
         << r.output;
     EXPECT_NE(r.output.find("regenerate the baseline"),
-              std::string::npos)
-        << r.output;
-}
-
-TEST(BenchDiffTest, ForwardDecodeCacheMismatchIsRefused)
-{
-    if (!havePython())
-        GTEST_SKIP() << "python3 not available";
-
-    DiffResult r =
-        runDiff(writeTemp("fbase_dc.json", forwardDoc(8, 1024)),
-                writeTemp("fcand_dc.json", forwardDoc(8, 64)));
-    EXPECT_EQ(r.exit, 2) << r.output;
-    EXPECT_NE(r.output.find("decode_cache_kb mismatch"),
               std::string::npos)
         << r.output;
 }

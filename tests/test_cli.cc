@@ -51,7 +51,7 @@ qexecLogitLines(const std::string &model)
 {
     std::string out;
     EXPECT_EQ(runCli("infer \"" + model
-                         + "\" --engine qexec --format packed"
+                         + "\" --engine qexec"
                            " --batch 4 --seq-len 12",
                      &out),
               0);

@@ -63,9 +63,7 @@ serveRun()
             generateTrace(*spec, testModel().config().vocabSize);
         ModelQuantOptions qopt;
         qopt.base.bits = 3;
-        qopt.format = WeightFormat::Packed;
         ExecContext ctx = ExecContext::serial();
-        ctx.weightFormat = WeightFormat::Packed;
         InferenceSession session(QuantizedBertModel(testModel(), qopt),
                                  ctx);
         ServeOptions opt;
@@ -110,9 +108,8 @@ renderForward()
     doc.cores = 8;
     doc.kernelTier = "avx2";
     doc.seqTile = 8;
-    doc.decodeCacheKb = 1024;
     doc.results.push_back({"fp32", "serial", 123.4, 1u << 20});
-    doc.results.push_back({"qexec", "parallel", 456.7, 1u << 17});
+    doc.results.push_back({"qpacked", "parallel", 456.7, 1u << 17});
     doc.scaling.push_back({1, 100.0, 1.0});
     doc.scaling.push_back({4, 350.0, 3.5});
     doc.spans.push_back({"enc[0].query", 16, 1234.5, 77.16});
@@ -179,7 +176,6 @@ auditReport(PmuRegistry *pmu)
 {
     AuditOptions opt;
     opt.quant.base.bits = 3;
-    opt.quant.format = WeightFormat::Packed;
     opt.sequences = 1;
     opt.seqLen = 6;
     opt.pmu = pmu;

@@ -10,7 +10,7 @@
  *   - centroidFma is bit-identical across tiers and to that reference,
  *     per kernel call and through QuantizedLinear::forward, for
  *     B = 1..8, row lengths around the 16-lane step, 1..33 activation
- *     rows, both weight formats, serial and parallel;
+ *     rows, serial and parallel;
  *   - packed-row decode (KernelSet::decodePackedRow) is integer-exact
  *     on every tier, for every B, unaligned bit offsets, and lengths
  *     around the 64-index bulk-group boundary;
@@ -36,6 +36,7 @@
 #include "kernels/kernels.hh"
 #include "model/generate.hh"
 #include "nn/encoder.hh"
+#include "qexec_reference.hh"
 #include "tensor/ops.hh"
 #include "util/bitstream.hh"
 #include "util/rng.hh"
@@ -106,66 +107,6 @@ const std::vector<std::size_t> kFuzzLengths = {
     1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17,
     31, 32, 33, 1007};
 
-/**
- * The canonical quantized-FC order of kernels.hh for one output, as
- * plain loops: 16 fmaf partials over the columns i = j (mod 16), the
- * +8/+4/+2/+1 tree, the bias, then the outlier fmafs in order.
- */
-float
-canonicalOutput(const std::uint8_t *idx, std::size_t in,
-                const float *centroids, const float *x, float bias,
-                const std::vector<OutlierTerm> &terms)
-{
-    float p[16] = {};
-    for (std::size_t i = 0; i < in; ++i)
-        p[i % 16] = std::fmaf(centroids[idx[i]], x[i], p[i % 16]);
-    float q[8], r[4], t[2];
-    for (std::size_t j = 0; j < 8; ++j)
-        q[j] = p[j] + p[j + 8];
-    for (std::size_t j = 0; j < 4; ++j)
-        r[j] = q[j] + q[j + 4];
-    for (std::size_t j = 0; j < 2; ++j)
-        t[j] = r[j] + r[j + 2];
-    float acc = (t[0] + t[1]) + bias;
-    for (const OutlierTerm &term : terms)
-        acc = std::fmaf(term.correction, x[term.column], acc);
-    return acc;
-}
-
-/**
- * A kernel-free QuantizedLinear forward built from the public
- * QuantizedTensor fields: indexes from the bitstream reference,
- * outlier corrections in position order, canonicalOutput per (s, o).
- * QuantizedLinear::forward on any tier/backend/format must reproduce
- * this bit-for-bit.
- */
-Tensor
-scalarReference(const QuantizedTensor &qt, const Tensor &bias,
-                const Tensor &x)
-{
-    std::size_t out = qt.rows, in = qt.cols;
-    auto idx32 = unpackIndexes(qt.packedIndexes, qt.bits,
-                               qt.elementCount());
-    std::vector<std::uint8_t> idx(idx32.begin(), idx32.end());
-
-    std::vector<std::vector<OutlierTerm>> row_terms(out);
-    for (std::size_t o = 0; o < qt.outlierPositions.size(); ++o) {
-        std::uint32_t pos = qt.outlierPositions[o];
-        row_terms[pos / in].push_back(
-            {static_cast<std::uint32_t>(pos % in),
-             qt.outlierValues[o] - qt.centroids[idx[pos]]});
-    }
-
-    Tensor y(x.rows(), out);
-    for (std::size_t s = 0; s < x.rows(); ++s)
-        for (std::size_t o = 0; o < out; ++o)
-            y(s, o) = canonicalOutput(idx.data() + o * in, in,
-                                      qt.centroids.data(),
-                                      x.row(s).data(), bias(o),
-                                      row_terms[o]);
-    return y;
-}
-
 /** Serial context pinned to one tier. */
 ExecContext
 tierCtx(const KernelSet &kn)
@@ -196,68 +137,6 @@ goldenSetup()
         g.tokens.push_back(static_cast<std::int32_t>(rng.integer(
             0, static_cast<int>(cfg.vocabSize) - 1)));
     return g;
-}
-
-/**
- * QuantizedBertModel::classify rebuilt from public pieces, with every
- * FC layer run through scalarReference instead of the kernels, on the
- * generic tier's dense ops. The quantized golden logits are derived
- * from this, not from the engine under test.
- */
-Tensor
-referenceQuantizedLogits(const BertModel &model,
-                         const ModelQuantOptions &opt,
-                         const std::vector<std::int32_t> &tokens)
-{
-    ExecContext ctx = ExecContext::serial();
-    ctx.kernels = &genericKernels();
-    const ModelConfig &cfg = model.config();
-    auto fc = [&](const Tensor &x, const Tensor &w, const Tensor &b,
-                  FcKind kind, std::size_t e) {
-        GoboConfig c = opt.base;
-        c.bits = opt.effectiveBits(kind, e);
-        return scalarReference(quantizeTensor(w, c), b, x);
-    };
-
-    Tensor word = model.wordEmbedding;
-    if (opt.embeddingBits > 0) {
-        GoboConfig c = opt.base;
-        c.bits = opt.embeddingBits;
-        word = quantizeTensor(model.wordEmbedding, c).dequantize();
-    }
-    Tensor x(tokens.size(), cfg.hidden);
-    for (std::size_t s = 0; s < tokens.size(); ++s)
-        for (std::size_t c = 0; c < cfg.hidden; ++c)
-            x(s, c) = word(static_cast<std::size_t>(tokens[s]), c)
-                      + model.positionEmbedding(s, c);
-    layerNormInplace(ctx, x, model.embLnGamma.flat(),
-                     model.embLnBeta.flat());
-
-    for (std::size_t e = 0; e < model.encoders.size(); ++e) {
-        const EncoderWeights &enc = model.encoders[e];
-        Tensor q = fc(x, enc.queryW, enc.queryB, FcKind::Query, e);
-        Tensor k = fc(x, enc.keyW, enc.keyB, FcKind::Key, e);
-        Tensor v = fc(x, enc.valueW, enc.valueB, FcKind::Value, e);
-        Tensor attn = multiHeadAttention(ctx, q, k, v, cfg.numHeads);
-        Tensor a = add(x, fc(attn, enc.attnOutW, enc.attnOutB,
-                             FcKind::AttnOutput, e));
-        layerNormInplace(ctx, a, enc.attnLnGamma.flat(),
-                         enc.attnLnBeta.flat());
-        Tensor inter =
-            fc(a, enc.interW, enc.interB, FcKind::Intermediate, e);
-        geluInplace(ctx, inter);
-        x = add(a, fc(inter, enc.outW, enc.outB, FcKind::Output, e));
-        layerNormInplace(ctx, x, enc.outLnGamma.flat(),
-                         enc.outLnBeta.flat());
-    }
-
-    Tensor first(1, cfg.hidden);
-    for (std::size_t c = 0; c < cfg.hidden; ++c)
-        first(0, c) = x(0, c);
-    Tensor pooled = fc(first, model.poolerW, model.poolerB,
-                       FcKind::Pooler, cfg.numLayers);
-    tanhInplace(ctx, pooled);
-    return linear(ctx, pooled, model.headW, model.headB);
 }
 
 TEST(Dispatch, GenericTierIsCompleteAndNamed)
@@ -358,7 +237,6 @@ TEST(GoldenGeneric, QuantizedPackedLogitsMatchPreKernelBuild)
     qopt.base.bits = 3;
     qopt.base.method = CentroidMethod::Gobo;
     qopt.embeddingBits = 4;
-    qopt.format = WeightFormat::Packed;
     Tensor ref = referenceQuantizedLogits(g.model, qopt, g.tokens);
     InferenceSession session(QuantizedBertModel(g.model, qopt),
                              tierCtx(genericKernels()));
@@ -373,14 +251,14 @@ TEST(GoldenGeneric, QuantizedPackedLogitsMatchPreKernelBuild)
 
 // ---------------------------------------------------------------------
 // Compressed-domain forward: exact against the kernel-free reference
-// for every tier, weight format and backend.
+// for every tier and backend.
 
 TEST(QexecTile, ForwardMatchesScalarReferenceEverywhere)
 {
     // B = 1..8 x row lengths around the 16-column step x 1..33
     // activation rows (1 = the pooler path; 8/16 bracket the 8-row
-    // kernel call and the avx512 tile stamp) x both formats x serial
-    // and 4 threads, on every tier. Non-zero weights, activations and
+    // kernel call and the avx512 tile stamp) x serial and 4 threads,
+    // on every tier. Non-zero weights, activations and
     // biases throughout; grainFlops = 1 forces the parallel grid to
     // split even these small layers.
     const std::size_t out = 6;
@@ -397,9 +275,7 @@ TEST(QexecTile, ForwardMatchesScalarReferenceEverywhere)
             Tensor bias(out);
             auto bv = randomVec(out, 60 * bits + in);
             std::copy(bv.begin(), bv.end(), bias.flat().begin());
-            const QuantizedLinear layers[] = {
-                {qt, bias, WeightFormat::Unpacked},
-                {qt, bias, WeightFormat::Packed}};
+            const QuantizedLinear layer(qt, bias);
             Tensor x = randomTensor(33, in, 70 * bits + in);
             Tensor ref = scalarReference(qt, bias, x);
             for (std::size_t seq = 1; seq <= 33; ++seq) {
@@ -411,20 +287,18 @@ TEST(QexecTile, ForwardMatchesScalarReferenceEverywhere)
                     ExecContext par = ExecContext::parallel(4);
                     par.kernels = tier;
                     par.grainFlops = 1;
-                    for (const ExecContext &ctx : {tierCtx(*tier), par})
-                        for (const QuantizedLinear &layer : layers) {
-                            Tensor y = layer.forward(ctx, xs);
-                            ASSERT_EQ(y.rows(), seq);
-                            ASSERT_EQ(y.cols(), out);
-                            for (std::size_t i = 0; i < y.size(); ++i)
-                                ASSERT_EQ(y.flat()[i], ref.flat()[i])
-                                    << tier->name << " bits=" << bits
-                                    << " in=" << in << " seq=" << seq
-                                    << " threads=" << ctx.threads
-                                    << " fmt="
-                                    << weightFormatName(layer.format())
-                                    << " i=" << i;
-                        }
+                    for (const ExecContext &ctx :
+                         {tierCtx(*tier), par}) {
+                        Tensor y = layer.forward(ctx, xs);
+                        ASSERT_EQ(y.rows(), seq);
+                        ASSERT_EQ(y.cols(), out);
+                        for (std::size_t i = 0; i < y.size(); ++i)
+                            ASSERT_EQ(y.flat()[i], ref.flat()[i])
+                                << tier->name << " bits=" << bits
+                                << " in=" << in << " seq=" << seq
+                                << " threads=" << ctx.threads
+                                << " i=" << i;
+                    }
                 }
             }
         }
@@ -451,7 +325,7 @@ TEST(QexecTile, NanInfActivationsPropagateOnEveryTier)
         par.kernels = tier;
         par.grainFlops = 1;
         for (const ExecContext &ctx : {tierCtx(*tier), par}) {
-            QuantizedLinear layer(qt, bias, WeightFormat::Packed);
+            QuantizedLinear layer(qt, bias);
             Tensor y = layer.forward(ctx, x);
             for (std::size_t s = 0; s < seq; ++s)
                 for (std::size_t o = 0; o < out; ++o) {
@@ -478,7 +352,6 @@ TEST(QexecTile, WholeModelBitIdenticalAcrossTiers)
     GoldenSetup g = goldenSetup();
     ModelQuantOptions qopt;
     qopt.base.bits = 3;
-    qopt.format = WeightFormat::Packed;
     QuantizedBertModel qmodel(g.model, qopt);
 
     // encode() is FC layers + attention/norm glue; only compare the FC

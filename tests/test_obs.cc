@@ -4,8 +4,7 @@
  * counters/histograms, percentile extraction), tracer (span capture,
  * Chrome trace export), exporters, pool telemetry, and the two
  * contracts instrumentation must keep — null observers cost nothing
- * observable, and observed runs stay bit-identical across backends
- * and weight formats.
+ * observable, and observed runs stay bit-identical across backends.
  */
 
 #include <gtest/gtest.h>
@@ -530,25 +529,24 @@ TEST_F(ObservedInference, QuantizedBitIdenticalWithObserverOn)
                            ExecContext::serial());
     auto expected = plain.headLogitsBatch(batch);
 
-    // Observed Unpacked/parallel and observed Packed/parallel agree
-    // with the unobserved serial Unpacked run bit for bit.
+    // Observed serial and observed parallel agree with the unobserved
+    // serial run bit for bit.
     Observer obs;
+    ExecContext serial = ExecContext::serial();
+    serial.obs = &obs;
     ExecContext parallel = ExecContext::parallel(4);
     parallel.obs = &obs;
-    InferenceSession unpacked(QuantizedBertModel(model, qopt),
-                              parallel);
-    expectIdentical(expected, unpacked.headLogitsBatch(batch));
-
-    qopt.format = WeightFormat::Packed;
-    InferenceSession packed(QuantizedBertModel(model, qopt), parallel);
-    expectIdentical(expected, packed.headLogitsBatch(batch));
+    parallel.grainFlops = 1;
+    for (const ExecContext &ctx : {serial, parallel}) {
+        InferenceSession observed(QuantizedBertModel(model, qopt), ctx);
+        expectIdentical(expected, observed.headLogitsBatch(batch));
+    }
 }
 
 TEST_F(ObservedInference, SpansAndCountersCoverTheForwardPass)
 {
     ModelQuantOptions qopt;
     qopt.base.bits = 3;
-    qopt.format = WeightFormat::Packed;
 
     Observer obs;
     ExecContext ctx = ExecContext::serial();
@@ -568,7 +566,6 @@ TEST_F(ObservedInference, SpansAndCountersCoverTheForwardPass)
     EXPECT_GT(snap.findCounter("qexec.rows_decoded")->value, 0u);
     EXPECT_GT(snap.findCounter("qexec.bytes_streamed")->value, 0u);
     EXPECT_GT(snap.findCounter("qexec.decode.group24")->value, 0u);
-    EXPECT_EQ(snap.findCounter("qexec.decode.unpacked")->value, 0u);
     const HistogramSnapshot *lat =
         snap.findHistogram("session.sequence_latency_us");
     ASSERT_NE(lat, nullptr);
@@ -591,21 +588,6 @@ TEST_F(ObservedInference, SpansAndCountersCoverTheForwardPass)
     EXPECT_TRUE(has("enc[0].query"));
     EXPECT_TRUE(has("pooler"));
     EXPECT_TRUE(has("session.headLogitsBatch"));
-}
-
-TEST_F(ObservedInference, UnpackedCountsNoRowDecodes)
-{
-    ModelQuantOptions qopt;
-    qopt.base.bits = 3;
-    Observer obs;
-    ExecContext ctx = ExecContext::serial();
-    ctx.obs = &obs;
-    InferenceSession session(QuantizedBertModel(model, qopt), ctx);
-    session.headLogits(batch[0]);
-    auto snap = obs.metrics.snapshot();
-    EXPECT_EQ(snap.findCounter("qexec.rows_decoded")->value, 0u);
-    EXPECT_GT(snap.findCounter("qexec.decode.unpacked")->value, 0u);
-    EXPECT_EQ(snap.findCounter("qexec.decode.group24")->value, 0u);
 }
 
 } // namespace

@@ -13,6 +13,7 @@
 #include "core/qexec.hh"
 #include "model/generate.hh"
 #include "nn/encoder.hh"
+#include "qexec_reference.hh"
 #include "task/task.hh"
 #include "tensor/ops.hh"
 #include "util/logging.hh"
@@ -126,21 +127,19 @@ TEST_P(QexecBits, ForwardEquivalenceAcrossWidths)
 
 TEST_P(QexecBits, PackedMatchesUnpackedBitIdentical)
 {
-    // The Packed engine decodes the B-bit stream inside the kernel but
-    // feeds the identical bucket/table/correction arithmetic, so the
-    // contract is exact float equality, not a tolerance.
+    // The engine decodes the packed B-bit stream per row block, but
+    // feeds the arithmetic of the kernel-free reference over the
+    // bitstream-unpacked indexes (qexec_reference.hh), so the contract
+    // is exact float equality, not a tolerance — serial and parallel.
     unsigned bits = GetParam();
     auto ql = makeQL(32, 48, bits, 461 + bits);
-    QuantizedLinear packed(ql.compressed(), Tensor(32),
-                           WeightFormat::Packed);
-    QuantizedLinear unpacked(ql.compressed(), Tensor(32),
-                             WeightFormat::Unpacked);
-    EXPECT_EQ(packed.format(), WeightFormat::Packed);
-    EXPECT_EQ(unpacked.format(), WeightFormat::Unpacked);
     Tensor x = gaussianTensor(7, 48, 463, 2.0);
-    Tensor a = unpacked.forward(x);
+    Tensor a = scalarReference(ql.compressed(), Tensor(32), x);
+    QuantizedLinear packed(ql.compressed(), Tensor(32));
     Tensor b = packed.forward(x);
-    Tensor c = packed.forward(ExecContext::parallel(4), x);
+    ExecContext par = ExecContext::parallel(4);
+    par.grainFlops = 1;
+    Tensor c = packed.forward(par, x);
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t i = 0; i < a.flat().size(); ++i) {
         EXPECT_EQ(a.flat()[i], b.flat()[i]) << "flat index " << i;
@@ -154,9 +153,10 @@ INSTANTIATE_TEST_SUITE_P(Widths, QexecBits,
 
 TEST(QuantizedLinearTest, PackedFuzzAcrossRandomLayers)
 {
-    // Random shapes, widths B in [2, 8], and inputs: Packed must stay
-    // bit-identical to Unpacked everywhere, including ragged rows
-    // whose bit offsets straddle byte and group boundaries.
+    // Random shapes, widths B in [2, 8], and inputs: the packed engine
+    // must stay bit-identical to the kernel-free reference everywhere,
+    // including ragged rows whose bit offsets straddle byte and group
+    // boundaries.
     Rng rng(471);
     for (int trial = 0; trial < 40; ++trial) {
         auto bits = static_cast<unsigned>(rng.integer(2, 8));
@@ -173,12 +173,11 @@ TEST(QuantizedLinearTest, PackedFuzzAcrossRandomLayers)
         auto q = quantizeTensor(w, cfg);
         Tensor bias(out);
         rng.fillGaussian(bias.data(), 0.0, 0.1);
-        QuantizedLinear unpacked(q, bias, WeightFormat::Unpacked);
-        QuantizedLinear packed(q, bias, WeightFormat::Packed);
+        QuantizedLinear packed(q, bias);
         auto seq = static_cast<std::size_t>(rng.integer(1, 5));
         Tensor x(seq, in);
         rng.fillGaussian(x.data(), 0.0, 1.0);
-        Tensor a = unpacked.forward(x);
+        Tensor a = scalarReference(q, bias, x);
         Tensor b = packed.forward(x);
         for (std::size_t i = 0; i < a.flat().size(); ++i)
             EXPECT_EQ(a.flat()[i], b.flat()[i])
@@ -191,20 +190,17 @@ TEST(QuantizedLinearTest, ResidentBytesMatchFormat)
 {
     auto ql = makeQL(32, 64, 3, 467);
     const auto &q = ql.compressed();
-    QuantizedLinear packed(q, Tensor(32), WeightFormat::Packed);
     std::size_t table_and_outliers =
         q.centroids.size() * sizeof(float)
         + q.outlierPositions.size()
               * (sizeof(std::uint32_t) + sizeof(float));
-    // Unpacked: one byte per weight. Packed: the 3-bit stream itself.
+    // The 3-bit stream itself, never a byte per weight.
     EXPECT_EQ(ql.residentBytes(),
-              q.elementCount() + table_and_outliers);
-    EXPECT_EQ(packed.residentBytes(),
               (q.elementCount() * 3 + 7) / 8 + table_and_outliers);
-    EXPECT_LT(packed.residentBytes(), ql.residentBytes());
-    // Packed sits at ~B/32 of FP32 plus the small table/outlier tail.
+    EXPECT_LT(ql.residentBytes(), q.elementCount());
+    // ~B/32 of FP32 plus the small table/outlier tail.
     double fp32 = static_cast<double>(q.originalBytes());
-    EXPECT_LT(static_cast<double>(packed.residentBytes()),
+    EXPECT_LT(static_cast<double>(ql.residentBytes()),
               fp32 * (3.0 / 32.0) + 2.0 * table_and_outliers);
 }
 
@@ -276,6 +272,9 @@ TEST(QuantizedBertModelTest, OpCountsAndFootprint)
 
 TEST(QuantizedBertModelTest, PackedModelBitIdenticalToUnpacked)
 {
+    // The packed engine's logits equal the kernel-free reference over
+    // bitstream-unpacked indexes (qexec_reference.hh) bit for bit, on
+    // the reference's generic-tier dense ops, serial and parallel.
     auto cfg = miniConfig(ModelFamily::DistilBert);
     BertModel model = generateModel(cfg, 429);
     Rng rng(430);
@@ -286,29 +285,31 @@ TEST(QuantizedBertModelTest, PackedModelBitIdenticalToUnpacked)
     ModelQuantOptions options;
     options.base.bits = 3;
     options.embeddingBits = 4;
-    QuantizedBertModel unpacked(model, options);
-    options.format = WeightFormat::Packed;
     QuantizedBertModel packed(model, options);
-    EXPECT_EQ(unpacked.format(), WeightFormat::Unpacked);
-    EXPECT_EQ(packed.format(), WeightFormat::Packed);
 
     std::vector<std::int32_t> ids{3, 1, 4, 1, 5, 9, 2, 6};
-    Tensor hu = unpacked.encode(ids);
-    Tensor hp = packed.encode(ids);
-    for (std::size_t i = 0; i < hu.flat().size(); ++i)
-        EXPECT_EQ(hu.flat()[i], hp.flat()[i]) << "hidden flat " << i;
+    Tensor ref = referenceQuantizedLogits(model, options, ids);
+    ExecContext serial = ExecContext::serial();
+    serial.kernels = &genericKernels();
+    ExecContext par = ExecContext::parallel(4);
+    par.kernels = &genericKernels();
+    par.grainFlops = 1;
+    Tensor hs = packed.encode(serial, ids);
+    Tensor hp = packed.encode(par, ids);
+    for (std::size_t i = 0; i < hs.flat().size(); ++i)
+        EXPECT_EQ(hs.flat()[i], hp.flat()[i]) << "hidden flat " << i;
+    for (const ExecContext &ctx : {serial, par}) {
+        Tensor logits = packed.classify(ctx, ids);
+        ASSERT_EQ(logits.size(), ref.size());
+        for (std::size_t i = 0; i < ref.size(); ++i)
+            EXPECT_EQ(logits(i), ref.flat()[i])
+                << "logit " << i << " threads " << ctx.threads;
+    }
 
-    Tensor lu = unpacked.classify(ids);
-    Tensor lp = packed.classify(ExecContext::parallel(4), ids);
-    ASSERT_EQ(lu.size(), lp.size());
-    for (std::size_t i = 0; i < lu.size(); ++i)
-        EXPECT_EQ(lu(i), lp(i)) << "logit " << i;
-
-    // Packed keeps less weight state resident than Unpacked, and
-    // lands under the B/32-of-FP32 ceiling (plus table/outlier tail).
+    // The packed stream lands under the B/32-of-FP32 ceiling (plus
+    // table/outlier tail), and well under a byte per weight.
     std::size_t fp32 = cfg.fcWeightParams() * sizeof(float);
-    EXPECT_LT(packed.residentWeightBytes(),
-              unpacked.residentWeightBytes());
+    EXPECT_LT(packed.residentWeightBytes(), cfg.fcWeightParams());
     EXPECT_LT(static_cast<double>(packed.residentWeightBytes()),
               static_cast<double>(fp32) * (3.0 / 32.0 + 0.05));
 }

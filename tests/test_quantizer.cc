@@ -1,6 +1,7 @@
 /**
  * @file
- * Tests for the layer- and model-level quantization drivers.
+ * Tests for the layer- and model-level quantization drivers, including
+ * the bit-identity of multi-threaded model quantization.
  */
 
 #include <gtest/gtest.h>
@@ -8,6 +9,7 @@
 #include <cmath>
 
 #include "core/quantizer.hh"
+#include "exec/threadpool.hh"
 #include "model/generate.hh"
 #include "tensor/ops.hh"
 #include "util/logging.hh"
@@ -247,6 +249,56 @@ TEST(ModelQuantReportTest, RatioArithmetic)
     EXPECT_DOUBLE_EQ(r.weightCompressionRatio(), 10.0);
     EXPECT_DOUBLE_EQ(r.embeddingCompressionRatio(), 8.0);
     EXPECT_DOUBLE_EQ(r.totalCompressionRatio(), 4000.0 / 420.0);
+}
+
+TEST(ParallelQuantization, BitIdenticalToSerial)
+{
+    auto cfg = miniConfig(ModelFamily::DistilBert);
+
+    ModelQuantOptions serial;
+    serial.base.bits = 3;
+    serial.embeddingBits = 4;
+    serial.threads = 1;
+    ModelQuantOptions parallel = serial;
+    parallel.threads = 8;
+
+    BertModel a = generateModel(cfg, 601);
+    BertModel b = generateModel(cfg, 601);
+    auto ra = quantizeModelInPlace(a, serial);
+    auto rb = quantizeModelInPlace(b, parallel);
+
+    EXPECT_EQ(ra.weightPayloadBytes, rb.weightPayloadBytes);
+    ASSERT_EQ(ra.layers.size(), rb.layers.size());
+    for (std::size_t i = 0; i < ra.layers.size(); ++i) {
+        EXPECT_EQ(ra.layers[i].name, rb.layers[i].name);
+        EXPECT_EQ(ra.layers[i].payloadBytes, rb.layers[i].payloadBytes);
+        EXPECT_EQ(ra.layers[i].stats.outlierCount,
+                  rb.layers[i].stats.outlierCount);
+    }
+    auto la = a.fcLayers();
+    auto lb = b.fcLayers();
+    for (std::size_t i = 0; i < la.size(); ++i)
+        EXPECT_EQ(la[i].weight->data(), lb[i].weight->data())
+            << la[i].name;
+    EXPECT_EQ(a.wordEmbedding.data(), b.wordEmbedding.data());
+}
+
+TEST(ParallelQuantization, StreamingBitIdenticalToSerial)
+{
+    auto cfg = miniConfig(ModelFamily::BertBase);
+    ModelQuantOptions serial;
+    serial.base.bits = 3;
+    serial.embeddingBits = 4;
+    ModelQuantOptions parallel = serial;
+    parallel.threads = defaultThreads();
+
+    auto ra = quantizeConfigStreaming(cfg, 603, serial);
+    auto rb = quantizeConfigStreaming(cfg, 603, parallel);
+    EXPECT_EQ(ra.weightPayloadBytes, rb.weightPayloadBytes);
+    EXPECT_EQ(ra.embeddingPayloadBytes, rb.embeddingPayloadBytes);
+    ASSERT_EQ(ra.layers.size(), rb.layers.size());
+    for (std::size_t i = 0; i < ra.layers.size(); ++i)
+        EXPECT_EQ(ra.layers[i].payloadBytes, rb.layers[i].payloadBytes);
 }
 
 } // namespace

@@ -4,8 +4,8 @@
  * and spec grammar, batch-forming bit-identity against one-at-a-time
  * serial replay, queue drain on shutdown (every request answered
  * exactly once), explicit overload/deadline shedding, tile occupancy
- * accounting, and checksum stability across backends and weight
- * formats — the properties that make a 100k-request soak a replayable
+ * accounting, and checksum stability across backends and thread
+ * counts — the properties that make a 100k-request soak a replayable
  * CI scenario.
  */
 
@@ -42,14 +42,12 @@ testModel()
 }
 
 InferenceSession
-makeSession(bool parallel, WeightFormat format)
+makeSession(std::size_t threads)
 {
     ModelQuantOptions qopt;
     qopt.base.bits = 3;
-    qopt.format = format;
-    ExecContext ctx =
-        parallel ? ExecContext::parallel(2) : ExecContext::serial();
-    ctx.weightFormat = format;
+    ExecContext ctx = threads > 1 ? ExecContext::parallel(threads)
+                                  : ExecContext::serial();
     return InferenceSession(QuantizedBertModel(testModel(), qopt), ctx);
 }
 
@@ -160,13 +158,13 @@ TEST(Serve, BatchFormingIsInvisibleInLogits)
     spec.requests = 96;
     auto trace = generateTrace(spec, testModel().config().vocabSize);
 
-    InferenceSession parallel = makeSession(true, WeightFormat::Packed);
+    InferenceSession parallel = makeSession(2);
     ServeOptions opt; // generous queue: nothing sheds
     ServeServer server(parallel, opt);
     ServeRun run = server.runTrace(trace);
     EXPECT_EQ(run.summary.completed, trace.size());
 
-    InferenceSession serial = makeSession(false, WeightFormat::Packed);
+    InferenceSession serial = makeSession(1);
     for (std::size_t i = 0; i < trace.size(); ++i) {
         const ServeResponse &r = run.responses[i];
         ASSERT_EQ(r.status, ServeStatus::Ok);
@@ -182,7 +180,7 @@ TEST(Serve, DrainAnswersEveryRequestExactlyOnce)
 {
     auto spec = stressSpec();
     auto trace = generateTrace(spec, testModel().config().vocabSize);
-    InferenceSession session = makeSession(false, WeightFormat::Packed);
+    InferenceSession session = makeSession(1);
     ServeOptions opt;
     opt.maxQueue = 8;
     opt.requestDeadlineUs = 30000;
@@ -208,7 +206,7 @@ TEST(Serve, OverloadAndDeadlineShedExplicitlyAndDeterministically)
 {
     auto spec = stressSpec();
     auto trace = generateTrace(spec, testModel().config().vocabSize);
-    InferenceSession session = makeSession(false, WeightFormat::Packed);
+    InferenceSession session = makeSession(1);
     ServeOptions opt;
     opt.maxQueue = 8;          // bursts overflow this
     opt.requestDeadlineUs = 30000; // below worst-case queue wait
@@ -246,7 +244,7 @@ TEST(Serve, TileOccupancyAccountsFilledLanes)
             r.tokens.push_back(static_cast<std::int32_t>(tok.next() % 512));
         trace.push_back(std::move(r));
     }
-    InferenceSession session = makeSession(false, WeightFormat::Packed);
+    InferenceSession session = makeSession(1);
     ServeOptions opt;
     // The default resolves to the executing tier's seqTile (8 or 16);
     // pin the width the hand-built arithmetic below assumes.
@@ -276,20 +274,18 @@ TEST(Serve, ChecksumStableAcrossBackendsAndFormats)
 
     std::uint64_t checksum = 0;
     bool first = true;
-    for (bool parallel : {false, true})
-        for (WeightFormat fmt :
-             {WeightFormat::Unpacked, WeightFormat::Packed}) {
-            InferenceSession session = makeSession(parallel, fmt);
-            ServeServer server(session, opt);
-            ServeRun run = server.runTrace(trace);
-            if (first) {
-                checksum = run.summary.responseChecksum;
-                first = false;
-            } else {
-                EXPECT_EQ(run.summary.responseChecksum, checksum)
-                    << "parallel=" << parallel;
-            }
+    for (std::size_t threads : {1u, 2u, 4u}) {
+        InferenceSession session = makeSession(threads);
+        ServeServer server(session, opt);
+        ServeRun run = server.runTrace(trace);
+        if (first) {
+            checksum = run.summary.responseChecksum;
+            first = false;
+        } else {
+            EXPECT_EQ(run.summary.responseChecksum, checksum)
+                << "threads=" << threads;
         }
+    }
     EXPECT_NE(checksum, 0u);
 }
 
@@ -298,7 +294,7 @@ TEST(Serve, JsonReportIsWellFormed)
     auto spec = stressSpec();
     spec.requests = 32;
     auto trace = generateTrace(spec, testModel().config().vocabSize);
-    InferenceSession session = makeSession(false, WeightFormat::Packed);
+    InferenceSession session = makeSession(1);
     ServeOptions opt;
     ServeServer server(session, opt);
     ServeRun run = server.runTrace(trace);

@@ -69,6 +69,39 @@ TEST(ThreadPool, InlineWhenSerialOrTrivial)
     pool.run(0, [&](std::size_t) { FAIL() << "called for empty range"; });
 }
 
+TEST(ThreadPool, EmptyAndSingleRanges)
+{
+    // Through the shared pool with room for 4 threads: an empty range
+    // calls nothing, a one-item range calls exactly once.
+    int calls = 0;
+    ThreadPool::shared().run(0, 4, [&](std::size_t) { ++calls; });
+    EXPECT_EQ(calls, 0);
+    ThreadPool::shared().run(1, 4, [&](std::size_t) { ++calls; });
+    EXPECT_EQ(calls, 1);
+}
+
+// The parallel-for contract the quantizer and benchmarks rely on,
+// through the shared pool with an explicit thread bound.
+TEST(ParallelFor, CoversEveryIndexOnce)
+{
+    std::vector<std::atomic<int>> hits(257);
+    for (auto &h : hits)
+        h = 0;
+    ThreadPool::shared().run(hits.size(), 8,
+                             [&](std::size_t i) { ++hits[i]; });
+    for (auto &h : hits)
+        EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ParallelFor, InlineWhenSingleThreaded)
+{
+    std::vector<int> order;
+    ThreadPool::shared().run(5, 1, [&](std::size_t i) {
+        order.push_back(static_cast<int>(i));
+    });
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+}
+
 TEST(ThreadPool, CapsWorkersByWorkItemCount)
 {
     ThreadPool pool(8);

@@ -5,7 +5,7 @@
  * out-of-order emission, maxWindows clamping, flight-recorder
  * boundedness and shed pinning, and the contracts the serve
  * integration must keep — the windowed series is byte-identical
- * across backends and weight formats, window sums reconcile with the
+ * across backends and thread counts, window sums reconcile with the
  * run summary, the recorder never alters a response bit, and every
  * shed request is reconstructable from the recorder tail.
  */
@@ -234,14 +234,12 @@ testModel()
 }
 
 InferenceSession
-makeSession(bool parallel, WeightFormat format)
+makeSession(std::size_t threads)
 {
     ModelQuantOptions qopt;
     qopt.base.bits = 3;
-    qopt.format = format;
-    ExecContext ctx =
-        parallel ? ExecContext::parallel(2) : ExecContext::serial();
-    ctx.weightFormat = format;
+    ExecContext ctx = threads > 1 ? ExecContext::parallel(threads)
+                                  : ExecContext::serial();
     return InferenceSession(QuantizedBertModel(testModel(), qopt), ctx);
 }
 
@@ -279,29 +277,25 @@ TEST(ServeTimeline, ByteIdenticalAcrossBackendsAndFormats)
     ServeOptions opt = stressOptions();
 
     std::string first;
-    for (bool parallel : {false, true})
-        for (WeightFormat fmt :
-             {WeightFormat::Unpacked, WeightFormat::Packed}) {
-            InferenceSession session = makeSession(parallel, fmt);
-            ServeServer server(session, opt);
-            ServeRun run = server.runTrace(trace);
-            std::ostringstream os;
-            writeTimelineWindows(run.summary.timeline, os, 2);
-            if (first.empty()) {
-                first = os.str();
-                EXPECT_GT(run.summary.timeline.windows.size(), 3u);
-            } else {
-                EXPECT_EQ(os.str(), first)
-                    << "parallel=" << parallel << " format "
-                    << weightFormatName(fmt);
-            }
+    for (std::size_t threads : {1u, 2u, 4u}) {
+        InferenceSession session = makeSession(threads);
+        ServeServer server(session, opt);
+        ServeRun run = server.runTrace(trace);
+        std::ostringstream os;
+        writeTimelineWindows(run.summary.timeline, os, 2);
+        if (first.empty()) {
+            first = os.str();
+            EXPECT_GT(run.summary.timeline.windows.size(), 3u);
+        } else {
+            EXPECT_EQ(os.str(), first) << "threads=" << threads;
         }
+    }
 }
 
 TEST(ServeTimeline, WindowSumsReconcileWithSummary)
 {
     auto trace = generateTrace(stressSpec(), testModel().config().vocabSize);
-    InferenceSession session = makeSession(false, WeightFormat::Packed);
+    InferenceSession session = makeSession(1);
     ServeServer server(session, stressOptions());
     ServeRun run = server.runTrace(trace);
     const ServeSummary &sum = run.summary;
@@ -334,7 +328,7 @@ TEST(ServeTimeline, WindowSumsReconcileWithSummary)
 TEST(ServeTimeline, RecorderNeverAltersResponses)
 {
     auto trace = generateTrace(stressSpec(), testModel().config().vocabSize);
-    InferenceSession session = makeSession(false, WeightFormat::Packed);
+    InferenceSession session = makeSession(1);
 
     ServeOptions on = stressOptions();
     ServeServer serverOn(session, on);
@@ -365,7 +359,7 @@ TEST(ServeTimeline, RecorderReconstructsEveryShedLifecycle)
     // is the complete lifecycle log and must explain every response.
     opt.recorderCapacity = 1024;
     opt.recorderShedCapacity = 1024;
-    InferenceSession session = makeSession(false, WeightFormat::Packed);
+    InferenceSession session = makeSession(1);
     ServeServer server(session, opt);
     ServeRun run = server.runTrace(trace);
     ASSERT_EQ(run.flightRecords.size(), trace.size());
@@ -415,7 +409,7 @@ TEST(ServeTimeline, TimelineDocumentIsValidJson)
     auto spec = stressSpec();
     auto trace = generateTrace(spec, testModel().config().vocabSize);
     ServeOptions opt = stressOptions();
-    InferenceSession session = makeSession(false, WeightFormat::Packed);
+    InferenceSession session = makeSession(1);
     ServeServer server(session, opt);
     ServeRun run = server.runTrace(trace);
 

@@ -14,10 +14,9 @@ the committed bench/baseline/BENCH_forward.json) on three axes:
     the candidate is slower than 40% of baseline).
   * per-span mean_us for spans present in both files — flags any span
     whose mean latency grew by more than `--span-tol` (default 2.0x).
-  * seq_tile / decode_cache_kb environment stamps — a candidate whose
-    sequence-tile width or decoded-row cache budget differs from the
-    baseline's is refused (exit 2), exactly like a kernel-tier or
-    thread-count mismatch.
+  * seq_tile environment stamp — a candidate whose sequence-tile width
+    differs from the baseline's is refused (exit 2), exactly like a
+    kernel-tier or thread-count mismatch.
   * the candidate's thread-scaling curve (`scaling[]`) — parallel
     efficiency must stay above `--scaling-eff` (speedup_vs_serial >=
     eff * threads; the default 0.375 demands 1.5x at 4 threads). The
@@ -166,24 +165,18 @@ def spans_by_name(data):
 def diff_forward(base, cand, args):
     failures = []
 
-    # The sequence-tile width and decoded-row cache budget are part of
-    # the environment stamp, like the kernel tier: a 16-lane candidate
-    # against an 8-lane baseline measures batching granularity, and a
-    # different cache budget shifts both throughput and the resident
-    # accounting. Either mismatch is a refusal, not a failure. Files
-    # from before the fields existed read as None — regenerate.
-    for key, why in (
-        ("seq_tile", "cross-width diffs measure batching granularity, "
-                     "not a regression"),
-        ("decode_cache_kb", "the budget shifts throughput and resident "
-                            "accounting"),
-    ):
-        if base.get(key) != cand.get(key):
-            refuse(
-                f"bench_diff: {key} mismatch: baseline "
-                f"{base.get(key)} vs candidate {cand.get(key)} — "
-                f"{why} (a missing value means the file predates the "
-                f"field; regenerate the baseline)")
+    # The sequence-tile width is part of the environment stamp, like
+    # the kernel tier: a 16-lane candidate against an 8-lane baseline
+    # measures batching granularity, not a regression. A mismatch is a
+    # refusal, not a failure. Files from before the field existed read
+    # as None — regenerate.
+    if base.get("seq_tile") != cand.get("seq_tile"):
+        refuse(
+            f"bench_diff: seq_tile mismatch: baseline "
+            f"{base.get('seq_tile')} vs candidate {cand.get('seq_tile')}"
+            f" — cross-width diffs measure batching granularity, not a "
+            f"regression (a missing value means the file predates the "
+            f"field; regenerate the baseline)")
 
     base_r = results_by_key(base)
     cand_r = results_by_key(cand)

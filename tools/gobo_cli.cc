@@ -12,18 +12,17 @@
  *   gobo infer     model.gobm | model.gobc [--batch B] [--seq-len S]
  *                  [--threads N] [--backend serial|parallel]
  *                  [--kernel generic|avx2|avx512|native]
- *                  [--engine fp32|qexec] [--format unpacked|packed]
- *                  [--seed N] [--trace OUT.json] [--metrics]
+ *                  [--engine fp32|qexec] [--seed N]
+ *                  [--trace OUT.json] [--metrics]
  *                  [--metrics-json OUT.json]
  *   gobo audit     model.gobm [--bits B] [--embedding-bits E]
  *                  [--method gobo|kmeans|linear] [--threshold T]
- *                  [--format unpacked|packed] [--sequences N]
- *                  [--seq-len S] [--seed N] [--json OUT.json]
+ *                  [--sequences N] [--seq-len S] [--seed N]
+ *                  [--json OUT.json]
  *   gobo serve     model.gobm | model.gobc --trace SPEC
  *                  [--threads N] [--backend serial|parallel]
  *                  [--kernel generic|avx2|avx512|native]
- *                  [--engine fp32|qexec] [--format unpacked|packed]
- *                  [--max-queue N] [--flush-deadline-us N]
+ *                  [--engine fp32|qexec] [--max-queue N] [--flush-deadline-us N]
  *                  [--deadline-us N] [--band-width N]
  *                  [--service-rate TOK/S] [--window-us N]
  *                  [--recorder-capacity N] [--json OUT.json]
@@ -118,20 +117,18 @@ usage(const char *msg = nullptr)
         "  gobo infer     FILE [--batch B] [--seq-len S] [--threads N]\n"
         "                 [--backend serial|parallel]"
         " [--kernel generic|avx2|avx512|native]\n"
-        "                 [--engine fp32|qexec]"
-        " [--format unpacked|packed] [--seed N]\n"
+        "                 [--engine fp32|qexec] [--seed N]\n"
         "                 [--trace OUT.json] [--metrics]"
         " [--metrics-json OUT.json] [--pmu]\n"
         "  gobo audit     FILE [--bits B] [--embedding-bits E]"
         " [--method M]\n"
-        "                 [--threshold T] [--format unpacked|packed]\n"
+        "                 [--threshold T]\n"
         "                 [--sequences N] [--seq-len S] [--seed N]\n"
         "                 [--json OUT.json] [--pmu]\n"
         "  gobo serve     FILE --trace SPEC [--threads N]\n"
         "                 [--backend serial|parallel]"
         " [--kernel generic|avx2|avx512|native]\n"
-        "                 [--engine fp32|qexec]"
-        " [--format unpacked|packed]\n"
+        "                 [--engine fp32|qexec]\n"
         "                 [--max-queue N] [--flush-deadline-us N]"
         " [--deadline-us N]\n"
         "                 [--band-width N] [--service-rate TOK/S]\n"
@@ -409,12 +406,6 @@ cmdInfer(const Args &args)
     else
         usage(("unknown backend: " + backend).c_str());
 
-    std::string format = args.get("format", "unpacked");
-    if (format == "packed")
-        ctx.weightFormat = WeightFormat::Packed;
-    else if (format != "unpacked")
-        usage(("unknown format: " + format).c_str());
-
     // SIMD kernel tier. Default: whatever the process resolved (cpuid
     // best, or GOBO_KERNEL — so the env override must not be shadowed
     // by pinning "native" here); an explicit flag pins this run's
@@ -484,7 +475,6 @@ cmdInfer(const Args &args)
     if (engine == "qexec") {
         ModelQuantOptions qopt;
         qopt.threads = ctx.isParallel() ? ctx.threads : 1;
-        qopt.format = ctx.weightFormat;
         session.emplace(QuantizedBertModel(model, qopt), ctx);
     } else if (engine == "fp32") {
         session.emplace(std::move(model), ctx);
@@ -495,8 +485,7 @@ cmdInfer(const Args &args)
     std::printf("%s engine (%s weights, %.1f KiB resident), %s backend"
                 " (%zu threads), %s kernels, batch %zu x %zu tokens\n",
                 engine.c_str(),
-                engine == "qexec" ? weightFormatName(ctx.weightFormat)
-                                  : "fp32",
+                engine == "qexec" ? "packed" : "fp32",
                 toKiB(session->residentWeightBytes()),
                 backendName(ctx.backend), ctx.threads, kernels.name,
                 batch_size, seq_len);
@@ -528,7 +517,6 @@ cmdInfer(const Args &args)
         MetricsSnapshot snap = observer->metrics.snapshot();
         appendPoolCounters(snap, ThreadPool::shared().telemetry());
         appendScratchCounters(snap, scratchStats());
-        appendScratchGauges(snap, scratchStats());
         appendTraceCounters(snap, observer->tracer);
         if (pmu) {
             PmuSnapshot ps = pmu->snapshot();
@@ -582,11 +570,6 @@ cmdAudit(const Args &args)
     opt.quant.base.method = parseMethod(args.get("method", "gobo"));
     opt.quant.base.outlierThreshold = std::stod(
         args.get("threshold", "-4"));
-    std::string format = args.get("format", "unpacked");
-    if (format == "packed")
-        opt.quant.format = WeightFormat::Packed;
-    else if (format != "unpacked")
-        usage(("unknown format: " + format).c_str());
     opt.sequences = std::stoul(args.get("sequences", "4"));
     opt.seqLen = std::stoul(args.get("seq-len", "32"));
     opt.seed = parseU64Flag(args, "seed", "42");
@@ -669,11 +652,6 @@ runServeStack(const Args &args, Observer *obs, ServeOptions &sopt,
         ctx = ExecContext::parallel(threads);
     else
         usage(("unknown backend: " + backend).c_str());
-    std::string format = args.get("format", "packed");
-    if (format == "packed")
-        ctx.weightFormat = WeightFormat::Packed;
-    else if (format != "unpacked")
-        usage(("unknown format: " + format).c_str());
     const KernelSet &kernels = args.has("kernel")
                                    ? kernelsByName(args.get("kernel", ""))
                                    : activeKernels();
@@ -721,7 +699,6 @@ runServeStack(const Args &args, Observer *obs, ServeOptions &sopt,
     if (engine == "qexec") {
         ModelQuantOptions qopt;
         qopt.threads = ctx.isParallel() ? ctx.threads : 1;
-        qopt.format = ctx.weightFormat;
         session.emplace(QuantizedBertModel(model, qopt), ctx);
     } else if (engine == "fp32") {
         session.emplace(std::move(model), ctx);
@@ -733,8 +710,7 @@ runServeStack(const Args &args, Observer *obs, ServeOptions &sopt,
     meta.kernelTier = kernels.name;
     meta.threads = ctx.threads;
     meta.engine = engine;
-    meta.format = engine == "qexec" ? weightFormatName(ctx.weightFormat)
-                                    : "fp32";
+    meta.format = engine == "qexec" ? "packed" : "fp32";
 
     std::printf("serving trace %s\n", meta.trace.c_str());
     std::printf("%s engine (%s weights), %s backend (%zu threads), %s"

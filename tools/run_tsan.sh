@@ -14,7 +14,7 @@ build=${1:-"$repo/build-tsan"}
 cmake -B "$build" -S "$repo" -DGOBO_SANITIZE=thread \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "$build" -j \
-    --target test_threadpool test_exec test_parallel test_ops
+    --target test_threadpool test_exec test_quantizer test_scratch test_ops
 
 # ModelBitIdentity covers ThreadCountDeterminism and the skewed-batch
 # WorkStealingOnSkewedSequenceLengths stress; the ThreadPool group
@@ -22,6 +22,6 @@ cmake --build "$build" -j \
 # SkewedItemsBalanceAcrossWorkers, nested composition).
 GOBO_THREADS=${GOBO_THREADS:-8} TSAN_OPTIONS=${TSAN_OPTIONS:-halt_on_error=1} \
     ctest --test-dir "$build" --output-on-failure \
-    -R 'ThreadPool|ExecContext|DefaultThreads|BackendBitIdentity|ModelBitIdentity|Parallel'
+    -R 'ThreadPool|ExecContext|DefaultThreads|BackendBitIdentity|ModelBitIdentity|Parallel|PackedHotPath'
 
 echo "TSan run clean."
