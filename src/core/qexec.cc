@@ -1,15 +1,11 @@
 #include "core/qexec.hh"
 
 #include <algorithm>
-#include <cmath>
 
 #include "exec/scratch.hh"
 #include "kernels/kernels.hh"
 #include "model/footprint.hh"
-#include "nn/encoder.hh"
 #include "obs/observer.hh"
-#include "obs/probe.hh"
-#include "tensor/ops.hh"
 #include "util/logging.hh"
 
 namespace gobo {
@@ -51,33 +47,6 @@ QuantizedLinear::forward(const ExecContext &ctx, const Tensor &x) const
     std::size_t seq = x.rows(), in = weights.cols, out = weights.rows;
     Tensor y(seq, out);
 
-    // Observability: one span per forward plus flat counters, all
-    // recorded outside the kernel loops (the totals are closed-form).
-    ScopedSpan span(ctx.obs, label);
-    if (Observer *obs = ctx.obs) {
-        obs->metrics.add(obs->qexecForwards);
-        obs->metrics.add(obs->qexecBytesStreamed, residentBytes());
-        obs->metrics.add(obs->qexecOutlierCorrections,
-                         seq * outliers.size());
-        if (8 % weights.bits == 0)
-            obs->metrics.add(obs->qexecDecodeLut);
-        else if (weights.bits == 3)
-            obs->metrics.add(obs->qexecDecodeGroup24);
-        else
-            obs->metrics.add(obs->qexecDecodeScalar);
-        obs->metrics.add(obs->qexecRowsDecoded, out);
-
-        // Per-layer mirrors of the traffic counters, keyed by the span
-        // label — the measured inputs of memsim's per-layer energy
-        // attribution (obs/audit.hh).
-        const Observer::QexecLayerIds &lids = obs->layerIds(label);
-        obs->metrics.add(lids.forwards);
-        obs->metrics.add(lids.bytesStreamed, residentBytes());
-        obs->metrics.add(lids.outlierCorrections,
-                         seq * outliers.size());
-        obs->metrics.add(lids.rowsDecoded, out);
-    }
-
     // Grid of output-row blocks x blocks of kFcRows-row activation
     // groups; rows split first (one decode per block), activations only
     // when rows cannot feed every task. Each task carries at least the
@@ -100,6 +69,35 @@ QuantizedLinear::forward(const ExecContext &ctx, const Tensor &x) const
     std::size_t n_tasks = rblocks * gblocks;
     std::size_t rblock = (out + rblocks - 1) / rblocks;
     std::size_t gblock = (groups + gblocks - 1) / gblocks;
+
+    // Observability: flat counters recorded outside the kernel loops
+    // (the totals are closed-form). Every non-empty activation block
+    // decodes all `out` rows once.
+    if (Observer *obs = ctx.obs) {
+        std::size_t blocks = gblock ? (groups + gblock - 1) / gblock : 0;
+        std::size_t rows_decoded = out * blocks;
+        obs->metrics.add(obs->qexecForwards);
+        obs->metrics.add(obs->qexecBytesStreamed, residentBytes());
+        obs->metrics.add(obs->qexecOutlierCorrections,
+                         seq * outliers.size());
+        if (8 % weights.bits == 0)
+            obs->metrics.add(obs->qexecDecodeLut);
+        else if (weights.bits == 3)
+            obs->metrics.add(obs->qexecDecodeGroup24);
+        else
+            obs->metrics.add(obs->qexecDecodeScalar);
+        obs->metrics.add(obs->qexecRowsDecoded, rows_decoded);
+
+        // Per-layer mirrors of the traffic counters, keyed by the span
+        // label — the measured inputs of memsim's per-layer energy
+        // attribution (obs/audit.hh).
+        const Observer::QexecLayerIds &lids = obs->layerIds(label);
+        obs->metrics.add(lids.forwards);
+        obs->metrics.add(lids.bytesStreamed, residentBytes());
+        obs->metrics.add(lids.outlierCorrections,
+                         seq * outliers.size());
+        obs->metrics.add(lids.rowsDecoded, rows_decoded);
+    }
 
     const KernelSet &kn = resolveKernels(ctx.kernels);
     ctx.parallelFor(n_tasks, flops / n_tasks + 1, [&](std::size_t task) {
@@ -170,167 +168,52 @@ QuantizedLinear::residentBytes() const
                                weights.centroids.size(), outliers.size());
 }
 
-namespace {
-
-QuantizedLinear
-makeLayer(const Tensor &w, const Tensor &b, FcKind kind,
-          std::size_t encoder, const ModelQuantOptions &options)
-{
-    GoboConfig cfg = options.base;
-    cfg.bits = options.effectiveBits(kind, encoder);
-    std::string label =
-        kind == FcKind::Pooler
-            ? fcKindName(kind)
-            : "enc[" + std::to_string(encoder) + "]." + fcKindName(kind);
-    return {quantizeTensor(w, cfg), b, std::move(label)};
-}
-
-} // namespace
-
 QuantizedBertModel::QuantizedBertModel(const BertModel &model,
                                        const ModelQuantOptions &options)
-    : cfg(model.config()),
-      wordEmbedding(model.wordEmbedding),
-      positionEmbedding(model.positionEmbedding),
-      embLnGamma(model.embLnGamma),
-      embLnBeta(model.embLnBeta),
-      pooler(makeLayer(model.poolerW, model.poolerB, FcKind::Pooler,
-                       model.config().numLayers, options)),
-      headW(model.headW),
-      headB(model.headB)
+    : params(model.withoutFcLayers())
 {
     if (options.embeddingBits > 0) {
         GoboConfig ecfg = options.base;
         ecfg.bits = options.embeddingBits;
-        wordEmbedding = quantizeTensor(model.wordEmbedding, ecfg)
-                            .dequantize();
+        params.wordEmbedding = quantizeTensor(model.wordEmbedding, ecfg)
+                                   .dequantize();
     }
-    encoders.reserve(model.encoders.size());
-    for (std::size_t e = 0; e < model.encoders.size(); ++e) {
-        const auto &enc = model.encoders[e];
-        encoders.push_back(EncoderLayers{
-            makeLayer(enc.queryW, enc.queryB, FcKind::Query, e, options),
-            makeLayer(enc.keyW, enc.keyB, FcKind::Key, e, options),
-            makeLayer(enc.valueW, enc.valueB, FcKind::Value, e, options),
-            makeLayer(enc.attnOutW, enc.attnOutB, FcKind::AttnOutput, e,
-                      options),
-            makeLayer(enc.interW, enc.interB, FcKind::Intermediate, e,
-                      options),
-            makeLayer(enc.outW, enc.outB, FcKind::Output, e, options),
-            enc.attnLnGamma, enc.attnLnBeta, enc.outLnGamma,
-            enc.outLnBeta});
+    auto refs = model.fcLayers();
+    layers.reserve(refs.size());
+    for (const auto &ref : refs) {
+        auto [w, b] = model.fcLayer(ref.kind, ref.encoder);
+        GoboConfig cfg = options.base;
+        cfg.bits = options.effectiveBits(ref.kind, ref.encoder);
+        layers.emplace_back(quantizeTensor(w, cfg), b,
+                            fcLayerLabel(ref.kind, ref.encoder));
     }
 }
 
-Tensor
-QuantizedBertModel::encode(const ExecContext &ctx,
-                           std::span<const std::int32_t> token_ids) const
+const QuantizedLinear &
+QuantizedBertModel::layer(FcKind kind, std::size_t encoder) const
 {
-    fatalIf(token_ids.empty(), "encode on empty sequence");
-    fatalIf(token_ids.size() > cfg.maxPosition, "sequence length ",
-            token_ids.size(), " exceeds maxPosition ", cfg.maxPosition);
-
-    Tensor x(token_ids.size(), cfg.hidden);
-    {
-        ScopedSpan span(ctx.obs, "embed");
-        for (std::size_t s = 0; s < token_ids.size(); ++s) {
-            auto id = token_ids[s];
-            fatalIf(id < 0
-                        || static_cast<std::size_t>(id) >= cfg.vocabSize,
-                    "token id ", id, " out of vocab ", cfg.vocabSize);
-            auto word = wordEmbedding.row(static_cast<std::size_t>(id));
-            auto posv = positionEmbedding.row(s);
-            auto dst = x.row(s);
-            for (std::size_t c = 0; c < dst.size(); ++c)
-                dst[c] = word[c] + posv[c];
-        }
-        layerNormInplace(ctx, x, embLnGamma.flat(), embLnBeta.flat());
-    }
-    probeActivation(ctx.obs, "embed", x);
-
-    for (std::size_t e = 0; e < encoders.size(); ++e) {
-        const auto &enc = encoders[e];
-        ScopedSpan layer_span(ctx.obs, "layer", e);
-        Tensor a;
-        {
-            ScopedSpan span(ctx.obs, "attention");
-            Tensor q = enc.query.forward(ctx, x);
-            Tensor k = enc.key.forward(ctx, x);
-            Tensor v = enc.value.forward(ctx, x);
-            Tensor attn_ctx =
-                multiHeadAttention(ctx, q, k, v, cfg.numHeads);
-            Tensor attn_out = enc.attnOut.forward(ctx, attn_ctx);
-            a = add(x, attn_out);
-        }
-        {
-            ScopedSpan span(ctx.obs, "layernorm");
-            layerNormInplace(ctx, a, enc.attnLnGamma.flat(),
-                             enc.attnLnBeta.flat());
-        }
-
-        Tensor y;
-        {
-            ScopedSpan span(ctx.obs, "ffn");
-            Tensor inter = enc.inter.forward(ctx, a);
-            geluInplace(ctx, inter);
-            Tensor out = enc.out.forward(ctx, inter);
-            y = add(a, out);
-        }
-        {
-            ScopedSpan span(ctx.obs, "layernorm");
-            layerNormInplace(ctx, y, enc.outLnGamma.flat(),
-                             enc.outLnBeta.flat());
-        }
-        x = std::move(y);
-        if (probeAttached(ctx.obs))
-            probeActivation(ctx.obs,
-                            "layer[" + std::to_string(e) + "]", x);
-    }
-    return x;
+    // fcLayers() order: six per encoder in FcKind order, pooler last.
+    if (kind == FcKind::Pooler)
+        return layers.back();
+    return layers[6 * encoder + static_cast<std::size_t>(kind)];
 }
 
-Tensor
-QuantizedBertModel::encode(std::span<const std::int32_t> token_ids) const
+Engine
+QuantizedBertModel::engine() const
 {
-    return encode(ExecContext::serial(), token_ids);
-}
-
-Tensor
-QuantizedBertModel::classify(const ExecContext &ctx,
-                             std::span<const std::int32_t> token_ids) const
-{
-    Tensor hidden = encode(ctx, token_ids);
-    Tensor first(1, hidden.cols());
-    auto src = hidden.row(0);
-    std::copy(src.begin(), src.end(), first.row(0).begin());
-    Tensor pooled = pooler.forward(ctx, first);
-    tanhInplace(ctx, pooled);
-    Tensor logits2d = linear(ctx, pooled, headW, headB);
-    Tensor logits(logits2d.cols());
-    auto row = logits2d.row(0);
-    std::copy(row.begin(), row.end(), logits.flat().begin());
-    return logits;
-}
-
-Tensor
-QuantizedBertModel::classify(std::span<const std::int32_t> token_ids) const
-{
-    return classify(ExecContext::serial(), token_ids);
+    return {params, [this](const ExecContext &ctx, FcKind kind,
+                           std::size_t encoder, const Tensor &x) {
+                return layer(kind, encoder).forward(ctx, x);
+            }};
 }
 
 OpCounts
 QuantizedBertModel::opCounts(std::size_t seq) const
 {
+    // The pooler runs on the first token only.
     OpCounts total;
-    for (const auto &enc : encoders) {
-        total += enc.query.opCounts(seq);
-        total += enc.key.opCounts(seq);
-        total += enc.value.opCounts(seq);
-        total += enc.attnOut.opCounts(seq);
-        total += enc.inter.opCounts(seq);
-        total += enc.out.opCounts(seq);
-    }
-    total += pooler.opCounts(1);
+    for (const auto &l : layers)
+        total += l.opCounts(&l == &layers.back() ? 1 : seq);
     return total;
 }
 
@@ -338,15 +221,8 @@ OpCounts
 QuantizedBertModel::denseOpCounts(std::size_t seq) const
 {
     OpCounts total;
-    for (const auto &enc : encoders) {
-        total += enc.query.denseOpCounts(seq);
-        total += enc.key.denseOpCounts(seq);
-        total += enc.value.denseOpCounts(seq);
-        total += enc.attnOut.denseOpCounts(seq);
-        total += enc.inter.denseOpCounts(seq);
-        total += enc.out.denseOpCounts(seq);
-    }
-    total += pooler.denseOpCounts(1);
+    for (const auto &l : layers)
+        total += l.denseOpCounts(&l == &layers.back() ? 1 : seq);
     return total;
 }
 
@@ -354,15 +230,8 @@ std::size_t
 QuantizedBertModel::compressedWeightBytes() const
 {
     std::size_t bytes = 0;
-    for (const auto &enc : encoders) {
-        bytes += enc.query.compressed().payloadBytes();
-        bytes += enc.key.compressed().payloadBytes();
-        bytes += enc.value.compressed().payloadBytes();
-        bytes += enc.attnOut.compressed().payloadBytes();
-        bytes += enc.inter.compressed().payloadBytes();
-        bytes += enc.out.compressed().payloadBytes();
-    }
-    bytes += pooler.compressed().payloadBytes();
+    for (const auto &l : layers)
+        bytes += l.compressed().payloadBytes();
     return bytes;
 }
 
@@ -370,30 +239,16 @@ void
 QuantizedBertModel::forEachLayer(
     const std::function<void(const QuantizedLinear &)> &fn) const
 {
-    for (const auto &enc : encoders) {
-        fn(enc.query);
-        fn(enc.key);
-        fn(enc.value);
-        fn(enc.attnOut);
-        fn(enc.inter);
-        fn(enc.out);
-    }
-    fn(pooler);
+    for (const auto &l : layers)
+        fn(l);
 }
 
 std::size_t
 QuantizedBertModel::residentWeightBytes() const
 {
     std::size_t bytes = 0;
-    for (const auto &enc : encoders) {
-        bytes += enc.query.residentBytes();
-        bytes += enc.key.residentBytes();
-        bytes += enc.value.residentBytes();
-        bytes += enc.attnOut.residentBytes();
-        bytes += enc.inter.residentBytes();
-        bytes += enc.out.residentBytes();
-    }
-    bytes += pooler.residentBytes();
+    for (const auto &l : layers)
+        bytes += l.residentBytes();
     return bytes;
 }
 

@@ -36,6 +36,7 @@
 #include "exec/context.hh"
 #include "kernels/kernels.hh"
 #include "model/model.hh"
+#include "nn/encoder.hh"
 #include "tensor/tensor.hh"
 
 namespace gobo {
@@ -74,8 +75,9 @@ class QuantizedLinear
   public:
     /**
      * Take ownership of the compressed weights and FP32 bias. `label`
-     * names this layer in trace spans and has no effect on compute
-     * ("enc[e].query" etc. when built by QuantizedBertModel).
+     * names this layer's qexec.layer.<label>.* counters and has no
+     * effect on compute (fcLayerLabel() when built by
+     * QuantizedBertModel).
      */
     QuantizedLinear(QuantizedTensor weights, Tensor bias,
                     std::string label = "qlinear");
@@ -94,10 +96,11 @@ class QuantizedLinear
      * and grid shapes are all bit-identical. The hot path never
      * allocates after warm-up (besides the returned tensor).
      *
-     * With an observer on the context, each call records one span
-     * (named by `label`) plus qexec.* counters: rows decoded, weight
-     * bytes streamed, outlier corrections applied, and which decode
-     * path ran (decode.lut / decode.group24 / decode.scalar).
+     * With an observer on the context, each call records qexec.*
+     * counters: rows decoded (once per activation block that decodes
+     * them), weight bytes streamed, outlier corrections applied, and
+     * which decode path ran (decode.lut / decode.group24 /
+     * decode.scalar).
      * Instrumentation happens outside the kernel loops and never
      * touches float math.
      */
@@ -125,7 +128,7 @@ class QuantizedLinear
     /** The compressed weights (for storage accounting). */
     const QuantizedTensor &compressed() const { return weights; }
 
-    /** Trace-span name for this layer. */
+    /** This layer's name in trace spans and counters. */
     const std::string &spanLabel() const { return label; }
 
     /**
@@ -151,9 +154,10 @@ class QuantizedLinear
 
 /**
  * A whole model executing its FC layers from the compressed format.
- * Embeddings/biases/norms stay FP32 (as in the paper); the forward
- * pass mirrors nn/encoder exactly, so predictions match a decoded
- * model up to FP reassociation.
+ * Embeddings, biases, layer norms and the head stay FP32 (as in the
+ * paper) and the forward pass is the shared encoder of nn/encoder.hh:
+ * engine() hands it this model's FP32 parameters with every FC layer
+ * run by QuantizedLinear::forward.
  */
 class QuantizedBertModel
 {
@@ -165,15 +169,11 @@ class QuantizedBertModel
     QuantizedBertModel(const BertModel &model,
                        const ModelQuantOptions &options);
 
-    /** Full encoder stack; mirrors gobo::encodeSequence. */
-    Tensor encode(const ExecContext &ctx,
-                  std::span<const std::int32_t> token_ids) const;
-    Tensor encode(std::span<const std::int32_t> token_ids) const;
-
-    /** Pooler + head logits; mirrors pool() + headLogits(). */
-    Tensor classify(const ExecContext &ctx,
-                    std::span<const std::int32_t> token_ids) const;
-    Tensor classify(std::span<const std::int32_t> token_ids) const;
+    /**
+     * This model as the shared encoder runs it (encodeSequence,
+     * classify, ...). Refers to this object: it must not outlive it.
+     */
+    Engine engine() const;
 
     /** Total operations for one sequence. */
     OpCounts opCounts(std::size_t seq) const;
@@ -189,27 +189,22 @@ class QuantizedBertModel
 
     /**
      * Visit every FC layer in BertModel::fcLayers() order — encoder 0
-     * (query, key, value, attnOut, inter, out), encoder 1, ...,
-     * pooler — so audits can zip the quantized layers with the FP32
-     * originals.
+     * (query, key, value, attn_output, intermediate, output), encoder
+     * 1, ..., pooler — so audits can zip the quantized layers with the
+     * FP32 originals.
      */
     void forEachLayer(
         const std::function<void(const QuantizedLinear &)> &fn) const;
 
-    const ModelConfig &config() const { return cfg; }
+    const ModelConfig &config() const { return params.config(); }
 
   private:
-    struct EncoderLayers
-    {
-        QuantizedLinear query, key, value, attnOut, inter, out;
-        Tensor attnLnGamma, attnLnBeta, outLnGamma, outLnBeta;
-    };
+    const QuantizedLinear &layer(FcKind kind, std::size_t encoder) const;
 
-    ModelConfig cfg;
-    Tensor wordEmbedding, positionEmbedding, embLnGamma, embLnBeta;
-    std::vector<EncoderLayers> encoders;
-    QuantizedLinear pooler;
-    Tensor headW, headB;
+    /** FP32 parameters around the FC layers; its FC tensors are empty. */
+    BertModel params;
+    /** The 6 * numLayers + 1 FC layers in fcLayers() order. */
+    std::vector<QuantizedLinear> layers;
 };
 
 } // namespace gobo

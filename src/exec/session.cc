@@ -118,6 +118,12 @@ InferenceSession::config() const
     return fp32 ? fp32->config() : quantized->config();
 }
 
+Engine
+InferenceSession::engine() const
+{
+    return fp32 ? Engine(*fp32) : quantized->engine();
+}
+
 Tensor
 InferenceSession::encodeSequence(
     std::span<const std::int32_t> tokens) const
@@ -125,8 +131,7 @@ InferenceSession::encodeSequence(
     SequenceProbe probe(ctx.obs, tokens.size());
     ScopedSpan span(ctx.obs, "session.encode");
     recordKernelTier(ctx);
-    return fp32 ? gobo::encodeSequence(ctx, *fp32, tokens)
-                : quantized->encode(ctx, tokens);
+    return gobo::encodeSequence(ctx, engine(), tokens);
 }
 
 Tensor
@@ -135,14 +140,7 @@ InferenceSession::headLogits(std::span<const std::int32_t> tokens) const
     SequenceProbe probe(ctx.obs, tokens.size());
     ScopedSpan span(ctx.obs, "session.headLogits");
     recordKernelTier(ctx);
-    Tensor logits;
-    if (quantized) {
-        logits = quantized->classify(ctx, tokens);
-    } else {
-        Tensor hidden = gobo::encodeSequence(ctx, *fp32, tokens);
-        Tensor pooled = pool(ctx, *fp32, hidden);
-        logits = gobo::headLogits(ctx, *fp32, pooled);
-    }
+    Tensor logits = classify(ctx, engine(), tokens);
     // Both engines emit at the same point, so a Capture run on the
     // FP32 session pairs with a Compare run on the quantized one.
     probeActivation(ctx.obs, "logits", logits);
@@ -184,8 +182,7 @@ InferenceSession::encodeBatch(const TokenBatch &batch) const
     ctx.parallelFor(batch.size(), [&](std::size_t i) {
         SequenceProbe seq_probe(inner.obs, batch[i].size());
         ScopedSpan span(inner.obs, "sequence", i);
-        out[i] = fp32 ? gobo::encodeSequence(inner, *fp32, batch[i])
-                      : quantized->encode(inner, batch[i]);
+        out[i] = gobo::encodeSequence(inner, engine(), batch[i]);
     });
     return out;
 }
@@ -213,13 +210,7 @@ InferenceSession::headLogitsBatch(
         ScopedSpan span(inner.obs, "sequence", i);
         if (!requestIds.empty())
             span.arg("request", requestIds[i]);
-        if (quantized) {
-            out[i] = quantized->classify(inner, batch[i]);
-        } else {
-            Tensor hidden = gobo::encodeSequence(inner, *fp32, batch[i]);
-            Tensor pooled = pool(inner, *fp32, hidden);
-            out[i] = gobo::headLogits(inner, *fp32, pooled);
-        }
+        out[i] = classify(inner, engine(), batch[i]);
     });
     return out;
 }

@@ -28,6 +28,7 @@
 #include "core/qexec.hh"
 #include "exec/context.hh"
 #include "model/model.hh"
+#include "nn/encoder.hh"
 #include "tensor/tensor.hh"
 
 namespace gobo {
@@ -114,6 +115,10 @@ class InferenceSession
                     std::span<const std::uint64_t> requestIds) const;
 
   private:
+    /** The FP32 model or the compressed model's engine: the one place
+     * a forward pass branches on the engine. */
+    Engine engine() const;
+
     /**
      * Context for the per-sequence forward inside a batched call. The
      * session's own context rides through unchanged: intra-sequence

@@ -32,6 +32,14 @@ fcKindName(FcKind kind)
     panic("unknown FcKind");
 }
 
+std::string
+fcLayerLabel(FcKind kind, std::size_t encoder)
+{
+    if (kind == FcKind::Pooler)
+        return fcKindName(kind);
+    return "enc[" + std::to_string(encoder) + "]." + fcKindName(kind);
+}
+
 std::size_t
 ModelConfig::fcWeightParams() const
 {

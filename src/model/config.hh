@@ -48,6 +48,12 @@ enum class FcKind
 /** Printable name of an FC kind ("query", "intermediate", ...). */
 std::string fcKindName(FcKind kind);
 
+/**
+ * Name of one FC layer in trace spans and per-layer counters:
+ * "enc[<encoder>].<kind>", or "pooler".
+ */
+std::string fcLayerLabel(FcKind kind, std::size_t encoder);
+
 /** Architecture hyper-parameters of one model. */
 struct ModelConfig
 {

@@ -83,6 +83,45 @@ BertModel::fcLayers() const
     return enumerateFcLayers<ConstFcLayerRef>(*this);
 }
 
+std::pair<const Tensor &, const Tensor &>
+BertModel::fcLayer(FcKind kind, std::size_t encoder) const
+{
+    if (kind == FcKind::Pooler)
+        return {poolerW, poolerB};
+    const EncoderWeights &w = encoders[encoder];
+    switch (kind) {
+      case FcKind::Query: return {w.queryW, w.queryB};
+      case FcKind::Key: return {w.keyW, w.keyB};
+      case FcKind::Value: return {w.valueW, w.valueB};
+      case FcKind::AttnOutput: return {w.attnOutW, w.attnOutB};
+      case FcKind::Intermediate: return {w.interW, w.interB};
+      case FcKind::Output: return {w.outW, w.outB};
+      case FcKind::Pooler: break;
+    }
+    panic("unknown FcKind");
+}
+
+BertModel
+BertModel::withoutFcLayers() const
+{
+    BertModel m;
+    m.cfg = cfg;
+    m.wordEmbedding = wordEmbedding;
+    m.positionEmbedding = positionEmbedding;
+    m.embLnGamma = embLnGamma;
+    m.embLnBeta = embLnBeta;
+    m.encoders.resize(encoders.size());
+    for (std::size_t e = 0; e < encoders.size(); ++e) {
+        m.encoders[e].attnLnGamma = encoders[e].attnLnGamma;
+        m.encoders[e].attnLnBeta = encoders[e].attnLnBeta;
+        m.encoders[e].outLnGamma = encoders[e].outLnGamma;
+        m.encoders[e].outLnBeta = encoders[e].outLnBeta;
+    }
+    m.headW = headW;
+    m.headB = headB;
+    return m;
+}
+
 void
 BertModel::resizeHead(std::size_t outputs)
 {

@@ -14,6 +14,7 @@
 
 #include <cstddef>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "model/config.hh"
@@ -91,6 +92,19 @@ class BertModel
     std::vector<FcLayerRef> fcLayers();
     std::vector<ConstFcLayerRef> fcLayers() const;
 
+    /** Weight [out, in] and bias [out] of FC layer `kind` of `encoder`
+     * (numLayers for the pooler). */
+    std::pair<const Tensor &, const Tensor &>
+    fcLayer(FcKind kind, std::size_t encoder) const;
+
+    /**
+     * A copy of the FP32 parameters around the FC layers — embeddings,
+     * layer norms and the task head — with every FC weight and bias
+     * left empty: what an engine that runs the FC layers from another
+     * representation keeps of the model (core/qexec.hh).
+     */
+    BertModel withoutFcLayers() const;
+
     /** Resize the task head to `outputs` rows. */
     void resizeHead(std::size_t outputs);
 
@@ -98,6 +112,8 @@ class BertModel
     std::size_t parameterCount() const;
 
   private:
+    BertModel() = default; ///< Nothing allocated; see withoutFcLayers.
+
     ModelConfig cfg;
 };
 

@@ -10,6 +10,39 @@
 
 namespace gobo {
 
+namespace {
+
+/**
+ * FC layer (kind, e) through the engine's seam, inside its trace span:
+ * the one place FC spans are emitted, so every engine traces the same
+ * tree. The label is built only when an observer is attached.
+ */
+Tensor
+runFc(const ExecContext &ctx, const Engine &engine, FcKind kind,
+      std::size_t e, const Tensor &x)
+{
+    ScopedSpan span(ctx.obs,
+                    ctx.obs ? fcLayerLabel(kind, e) : std::string());
+    return engine.fc(ctx, kind, e, x);
+}
+
+} // namespace
+
+Engine::Engine(const BertModel &model)
+    : params(model),
+      fc([&model](const ExecContext &ctx, FcKind kind, std::size_t e,
+                  const Tensor &x) {
+          auto [w, b] = model.fcLayer(kind, e);
+          return linear(ctx, x, w, b);
+      })
+{
+}
+
+Engine::Engine(const BertModel &p, FcForward f)
+    : params(p), fc(std::move(f))
+{
+}
+
 Tensor
 embedTokens(const ExecContext &ctx, const BertModel &model,
             std::span<const std::int32_t> token_ids)
@@ -93,19 +126,24 @@ multiHeadAttention(const Tensor &q, const Tensor &k, const Tensor &v,
 }
 
 Tensor
-encoderForward(const ExecContext &ectx, const EncoderWeights &enc,
-               const Tensor &hidden, std::size_t num_heads)
+encoderForward(const ExecContext &ectx, const Engine &engine,
+               std::size_t e, const Tensor &hidden)
 {
     // Spans bracket whole components; they never reorder or touch the
     // arithmetic, so traced and untraced runs are bit-identical.
+    const EncoderWeights &enc = engine.params.encoders[e];
+    auto fc = [&](FcKind kind, const Tensor &x) {
+        return runFc(ectx, engine, kind, e, x);
+    };
     Tensor x;
     {
         ScopedSpan span(ectx.obs, "attention");
-        Tensor q = linear(ectx, hidden, enc.queryW, enc.queryB);
-        Tensor k = linear(ectx, hidden, enc.keyW, enc.keyB);
-        Tensor v = linear(ectx, hidden, enc.valueW, enc.valueB);
-        Tensor ctx = multiHeadAttention(ectx, q, k, v, num_heads);
-        Tensor attn_out = linear(ectx, ctx, enc.attnOutW, enc.attnOutB);
+        Tensor q = fc(FcKind::Query, hidden);
+        Tensor k = fc(FcKind::Key, hidden);
+        Tensor v = fc(FcKind::Value, hidden);
+        Tensor ctx = multiHeadAttention(ectx, q, k, v,
+                                        engine.params.config().numHeads);
+        Tensor attn_out = fc(FcKind::AttnOutput, ctx);
         x = add(hidden, attn_out);
     }
     {
@@ -118,10 +156,10 @@ encoderForward(const ExecContext &ectx, const EncoderWeights &enc,
     {
         ScopedSpan span(ectx.obs, "ffn");
         // Intermediate component.
-        Tensor inter = linear(ectx, x, enc.interW, enc.interB);
+        Tensor inter = fc(FcKind::Intermediate, x);
         geluInplace(ectx, inter);
         // Output component.
-        Tensor out = linear(ectx, inter, enc.outW, enc.outB);
+        Tensor out = fc(FcKind::Output, inter);
         y = add(x, out);
     }
     {
@@ -133,27 +171,25 @@ encoderForward(const ExecContext &ectx, const EncoderWeights &enc,
 }
 
 Tensor
-encoderForward(const EncoderWeights &enc, const Tensor &hidden,
-               std::size_t num_heads)
+encoderForward(const Engine &engine, std::size_t e, const Tensor &hidden)
 {
-    return encoderForward(ExecContext::serial(), enc, hidden, num_heads);
+    return encoderForward(ExecContext::serial(), engine, e, hidden);
 }
 
 Tensor
-encodeSequence(const ExecContext &ctx, const BertModel &model,
+encodeSequence(const ExecContext &ctx, const Engine &engine,
                std::span<const std::int32_t> token_ids)
 {
     Tensor x;
     {
         ScopedSpan span(ctx.obs, "embed");
-        x = embedTokens(ctx, model, token_ids);
+        x = embedTokens(ctx, engine.params, token_ids);
     }
     probeActivation(ctx.obs, "embed", x);
-    for (std::size_t e = 0; e < model.encoders.size(); ++e) {
+    for (std::size_t e = 0; e < engine.params.encoders.size(); ++e) {
         {
             ScopedSpan span(ctx.obs, "layer", e);
-            x = encoderForward(ctx, model.encoders[e], x,
-                               model.config().numHeads);
+            x = encoderForward(ctx, engine, e, x);
         }
         if (probeAttached(ctx.obs))
             probeActivation(ctx.obs,
@@ -163,29 +199,30 @@ encodeSequence(const ExecContext &ctx, const BertModel &model,
 }
 
 Tensor
-encodeSequence(const BertModel &model,
+encodeSequence(const Engine &engine,
                std::span<const std::int32_t> token_ids)
 {
-    return encodeSequence(ExecContext::serial(), model, token_ids);
+    return encodeSequence(ExecContext::serial(), engine, token_ids);
 }
 
 Tensor
-pool(const ExecContext &ctx, const BertModel &model, const Tensor &hidden)
+pool(const ExecContext &ctx, const Engine &engine, const Tensor &hidden)
 {
     fatalIf(hidden.rows() == 0, "pool on empty hidden state");
     Tensor first(1, hidden.cols());
     auto src = hidden.row(0);
     auto dst = first.row(0);
     std::copy(src.begin(), src.end(), dst.begin());
-    Tensor pooled = linear(ctx, first, model.poolerW, model.poolerB);
+    Tensor pooled = runFc(ctx, engine, FcKind::Pooler,
+                          engine.params.encoders.size(), first);
     tanhInplace(ctx, pooled);
     return pooled;
 }
 
 Tensor
-pool(const BertModel &model, const Tensor &hidden)
+pool(const Engine &engine, const Tensor &hidden)
 {
-    return pool(ExecContext::serial(), model, hidden);
+    return pool(ExecContext::serial(), engine, hidden);
 }
 
 Tensor
@@ -203,6 +240,14 @@ Tensor
 headLogits(const BertModel &model, const Tensor &pooled)
 {
     return headLogits(ExecContext::serial(), model, pooled);
+}
+
+Tensor
+classify(const ExecContext &ctx, const Engine &engine,
+         std::span<const std::int32_t> token_ids)
+{
+    Tensor hidden = encodeSequence(ctx, engine, token_ids);
+    return headLogits(ctx, engine.params, pool(ctx, engine, hidden));
 }
 
 Tensor

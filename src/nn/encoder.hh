@@ -1,14 +1,15 @@
 /**
  * @file
- * Forward-only transformer encoder (the BERT execution engine).
+ * Forward-only transformer encoder — the one encoder every engine runs.
  *
  * Implements Fig. 1a of the paper: per encoder, an Attention component
  * (query/key/value projections, scaled dot-product multi-head
  * attention, output projection, residual + layer norm), an Intermediate
  * component (FFN up-projection with GELU) and an Output component
  * (down-projection, residual + layer norm); an embedding front end and
- * the Pooler after the last encoder. Everything consumes plain FP32
- * tensors, which is what makes decoded GOBO models plug-in compatible.
+ * the Pooler after the last encoder. GOBO changes only the FC layers,
+ * so every FC layer goes through one seam (FcForward) and everything
+ * else is the same FP32 code for the dense and the packed engine.
  *
  * Each stage takes an ExecContext: projections and norms dispatch
  * row-blocked to the backend, and multi-head attention parallelizes
@@ -21,6 +22,7 @@
 #define GOBO_NN_ENCODER_HH
 
 #include <cstdint>
+#include <functional>
 #include <span>
 
 #include "exec/context.hh"
@@ -28,6 +30,31 @@
 #include "tensor/tensor.hh"
 
 namespace gobo {
+
+/**
+ * The FC-layer seam: y = x * W^T + b for FC layer `kind` of encoder
+ * `encoder` (numLayers for the pooler), x of shape [rows, in].
+ */
+using FcForward = std::function<Tensor(const ExecContext &ctx, FcKind kind,
+                                       std::size_t encoder,
+                                       const Tensor &x)>;
+
+/**
+ * A model as the encoder runs it: the FP32 parameters around the FC
+ * layers (embeddings, layer norms, task head) read from `params`, and
+ * every FC layer computed by `fc`. A BertModel converts implicitly,
+ * with linear() over its own FC weights as the seam; the packed engine
+ * pairs a model without FC layers with QuantizedLinear::forward
+ * (core/qexec.hh). Holds references: it must not outlive the model.
+ */
+struct Engine
+{
+    Engine(const BertModel &model);
+    Engine(const BertModel &params, FcForward fc);
+
+    const BertModel &params;
+    FcForward fc;
+};
 
 /**
  * Embedding front end: word embedding + position embedding, then the
@@ -42,9 +69,7 @@ Tensor embedTokens(const BertModel &model,
 /**
  * Multi-head scaled dot-product attention over pre-projected Q, K, V
  * ([seq, h] each); heads are contiguous column slices of width
- * h / num_heads. Exposed so alternative execution engines (e.g. the
- * compressed-domain QuantizedBertModel) can share the exact attention
- * arithmetic.
+ * h / num_heads.
  */
 Tensor multiHeadAttention(const ExecContext &ctx, const Tensor &q,
                           const Tensor &k, const Tensor &v,
@@ -53,29 +78,34 @@ Tensor multiHeadAttention(const Tensor &q, const Tensor &k,
                           const Tensor &v, std::size_t num_heads);
 
 /**
- * One encoder layer: multi-head self-attention and FFN with residuals
- * and layer norms, as in Fig. 1a.
+ * Encoder layer `e`: multi-head self-attention and FFN with residuals
+ * and layer norms, as in Fig. 1a. Each FC layer runs through the
+ * engine's seam inside a trace span named fcLayerLabel(kind, e).
  */
-Tensor encoderForward(const ExecContext &ctx, const EncoderWeights &enc,
-                      const Tensor &hidden, std::size_t num_heads);
-Tensor encoderForward(const EncoderWeights &enc, const Tensor &hidden,
-                      std::size_t num_heads);
+Tensor encoderForward(const ExecContext &ctx, const Engine &engine,
+                      std::size_t e, const Tensor &hidden);
+Tensor encoderForward(const Engine &engine, std::size_t e,
+                      const Tensor &hidden);
 
 /** Run the embedding front end and the whole encoder stack. */
-Tensor encodeSequence(const ExecContext &ctx, const BertModel &model,
+Tensor encodeSequence(const ExecContext &ctx, const Engine &engine,
                       std::span<const std::int32_t> token_ids);
-Tensor encodeSequence(const BertModel &model,
+Tensor encodeSequence(const Engine &engine,
                       std::span<const std::int32_t> token_ids);
 
 /** The BERT pooler: first token through a Linear + tanh. Returns [1,h]. */
-Tensor pool(const ExecContext &ctx, const BertModel &model,
+Tensor pool(const ExecContext &ctx, const Engine &engine,
             const Tensor &hidden);
-Tensor pool(const BertModel &model, const Tensor &hidden);
+Tensor pool(const Engine &engine, const Tensor &hidden);
 
 /** Task-head logits over the pooled vector. Returns [outputs]. */
 Tensor headLogits(const ExecContext &ctx, const BertModel &model,
                   const Tensor &pooled);
 Tensor headLogits(const BertModel &model, const Tensor &pooled);
+
+/** Classification logits for one sequence: encode, pool, task head. */
+Tensor classify(const ExecContext &ctx, const Engine &engine,
+                std::span<const std::int32_t> token_ids);
 
 /**
  * Span-extraction logits (SQuAD-like head): per-token start and end

@@ -18,6 +18,8 @@
 #include <string>
 #include <vector>
 
+#include <sys/wait.h>
+
 #include "core/quantizer.hh"
 #include "model/serialize.hh"
 #include "temp_path.hh"
@@ -43,6 +45,13 @@ runCli(const std::string &args, std::string *out)
     *out = os.str();
     std::remove(out_path.c_str());
     return status;
+}
+
+/** Exit code of a runCli status, or -1 if the CLI did not exit. */
+int
+exitCode(int status)
+{
+    return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
 }
 
 /** The `seq ...` lines of an infer run on the packed qexec engine. */
@@ -138,6 +147,23 @@ TEST(CliLogits, OneCentroidPerturbationChangesPrintedLine)
     EXPECT_NE(qexecLogitLines(moved), lines_base);
     for (const std::string &p : {gen, base, moved})
         std::remove(p.c_str());
+}
+
+TEST(CliFlags, UnknownFlagExitsWithUsage)
+{
+    // A misspelled flag must not run with the default it misses.
+    std::string model = generatedModel();
+    std::string infer = "infer \"" + model + "\" --batch 1 --seq-len 4";
+    std::string out;
+    EXPECT_EQ(exitCode(runCli(infer + " --thread 4", &out)), 2);
+    EXPECT_EQ(out, "");
+    EXPECT_EQ(exitCode(runCli(infer + " --bogus x", &out)), 2);
+    EXPECT_EQ(exitCode(runCli(infer + " --threads 4", &out)), 0);
+    EXPECT_NE(out.find("seq"), std::string::npos) << out;
+    // Flags are per subcommand: serve's --trace-out is not infer's.
+    EXPECT_EQ(exitCode(runCli(infer + " --trace-out t.json", &out)), 2);
+    EXPECT_EQ(exitCode(runCli("kernels --bogus x", &out)), 2);
+    std::remove(model.c_str());
 }
 
 } // namespace

@@ -146,8 +146,10 @@ TEST_F(ModelBitIdentity, QuantizedLinearForward)
     qopt.base.bits = 3;
     QuantizedBertModel qmodel(model, qopt);
 
-    Tensor serial = qmodel.encode(ExecContext::serial(), batch[0]);
-    Tensor parallel = qmodel.encode(ExecContext::parallel(8), batch[0]);
+    Tensor serial =
+        encodeSequence(ExecContext::serial(), qmodel.engine(), batch[0]);
+    Tensor parallel =
+        encodeSequence(ExecContext::parallel(8), qmodel.engine(), batch[0]);
     expectBitIdentical(serial, parallel);
 
     // One layer directly, on a grid fine enough to split both axes.

@@ -354,10 +354,11 @@ TEST(QexecTile, WholeModelBitIdenticalAcrossTiers)
     qopt.base.bits = 3;
     QuantizedBertModel qmodel(g.model, qopt);
 
-    // encode() is FC layers + attention/norm glue; only compare the FC
-    // outputs tier-to-tier, which means going through one layer
-    // directly: encode/classify mix in dense row ops that legitimately
-    // differ at tolerance. Drive the first FC via identical inputs.
+    // A whole forward is FC layers + attention/norm glue; only compare
+    // the FC outputs tier-to-tier, which means going through one layer
+    // directly: encodeSequence/classify mix in dense row ops that
+    // legitimately differ at tolerance. Drive the first FC via
+    // identical inputs.
     Tensor x = randomTensor(13, qmodel.config().hidden, 4242);
     std::vector<const QuantizedLinear *> layers;
     qmodel.forEachLayer([&](const QuantizedLinear &l) {

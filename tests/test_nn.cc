@@ -55,7 +55,7 @@ TEST(EncoderForward, PreservesShape)
     auto cfg = miniConfig(ModelFamily::DistilBert);
     BertModel m = generateModel(cfg, 17);
     Tensor x = embedTokens(m, tokens({1, 2, 3, 4, 5}));
-    Tensor y = encoderForward(m.encoders[0], x, cfg.numHeads);
+    Tensor y = encoderForward(m, 0, x);
     EXPECT_EQ(y.rows(), x.rows());
     EXPECT_EQ(y.cols(), x.cols());
 }
@@ -69,7 +69,7 @@ TEST(EncoderForward, OutputIsLayerNormalized)
     m.encoders[0].outLnGamma.fill(1.0f);
     m.encoders[0].outLnBeta.fill(0.0f);
     Tensor x = embedTokens(m, tokens({1, 2, 3}));
-    Tensor y = encoderForward(m.encoders[0], x, cfg.numHeads);
+    Tensor y = encoderForward(m, 0, x);
     for (std::size_t r = 0; r < y.rows(); ++r) {
         double mu = 0.0;
         for (std::size_t c = 0; c < y.cols(); ++c)

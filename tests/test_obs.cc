@@ -11,6 +11,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <set>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -588,6 +589,51 @@ TEST_F(ObservedInference, SpansAndCountersCoverTheForwardPass)
     EXPECT_TRUE(has("enc[0].query"));
     EXPECT_TRUE(has("pooler"));
     EXPECT_TRUE(has("session.headLogitsBatch"));
+}
+
+TEST_F(ObservedInference, BothEnginesTraceTheSameSpanTree)
+{
+    // Both engines run the one encoder and differ only behind its FC
+    // seam, so one batch yields the same multiset of span names on
+    // each: embed, layer[e], attention, ffn, layernorm, every
+    // enc[e].<kind> and the pooler, once per sequence and layer.
+    auto spanNames = [](const Observer &obs) {
+        std::multiset<std::string> names;
+        for (const TraceEvent &e : obs.tracer.events())
+            names.insert(e.name);
+        return names;
+    };
+    ModelQuantOptions qopt;
+    qopt.base.bits = 3;
+    ExecContext parallel = ExecContext::parallel(4);
+    parallel.grainFlops = 1;
+    for (ExecContext ctx : {ExecContext::serial(), parallel}) {
+        SCOPED_TRACE("threads=" + std::to_string(ctx.threads));
+        Observer fp32_obs, packed_obs;
+        ctx.obs = &fp32_obs;
+        InferenceSession fp32(model, ctx);
+        fp32.headLogitsBatch(batch);
+        ctx.obs = &packed_obs;
+        InferenceSession packed(QuantizedBertModel(model, qopt), ctx);
+        packed.headLogitsBatch(batch);
+
+        std::multiset<std::string> names = spanNames(fp32_obs);
+        EXPECT_EQ(names, spanNames(packed_obs));
+        std::size_t n = batch.size(), layers = model.config().numLayers;
+        EXPECT_EQ(names.count("embed"), n);
+        EXPECT_EQ(names.count("attention"), n * layers);
+        EXPECT_EQ(names.count("ffn"), n * layers);
+        EXPECT_EQ(names.count("layernorm"), 2 * n * layers);
+        EXPECT_EQ(names.count("pooler"), n);
+        for (std::size_t e = 0; e < layers; ++e) {
+            EXPECT_EQ(names.count("layer[" + std::to_string(e) + "]"), n);
+            for (FcKind kind : {FcKind::Query, FcKind::Key, FcKind::Value,
+                                FcKind::AttnOutput, FcKind::Intermediate,
+                                FcKind::Output})
+                EXPECT_EQ(names.count(fcLayerLabel(kind, e)), n)
+                    << fcLayerLabel(kind, e);
+        }
+    }
 }
 
 } // namespace

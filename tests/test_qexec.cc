@@ -223,7 +223,8 @@ TEST(QuantizedBertModelTest, MatchesDecodedModelPredictions)
 
     std::size_t agree = 0;
     for (const auto &ex : data.examples) {
-        Tensor q_logits = qmodel.classify(ex.tokens);
+        Tensor q_logits =
+            classify(ExecContext::serial(), qmodel.engine(), ex.tokens);
         auto dec_pred = predict(decoded, TaskKind::MnliLike, ex);
         int q_label = static_cast<int>(argmax(q_logits.flat()));
         agree += q_label == dec_pred.label ? 1 : 0;
@@ -245,7 +246,7 @@ TEST(QuantizedBertModelTest, EncodeMatchesDecodedHidden)
     quantizeModelInPlace(decoded, options);
 
     std::vector<std::int32_t> ids{3, 1, 4, 1, 5, 9};
-    Tensor a = qmodel.encode(ids);
+    Tensor a = encodeSequence(qmodel.engine(), ids);
     Tensor b = encodeSequence(decoded, ids);
     EXPECT_LT(relativeError(b, a), 1e-4);
 }
@@ -294,12 +295,12 @@ TEST(QuantizedBertModelTest, PackedModelBitIdenticalToUnpacked)
     ExecContext par = ExecContext::parallel(4);
     par.kernels = &genericKernels();
     par.grainFlops = 1;
-    Tensor hs = packed.encode(serial, ids);
-    Tensor hp = packed.encode(par, ids);
+    Tensor hs = encodeSequence(serial, packed.engine(), ids);
+    Tensor hp = encodeSequence(par, packed.engine(), ids);
     for (std::size_t i = 0; i < hs.flat().size(); ++i)
         EXPECT_EQ(hs.flat()[i], hp.flat()[i]) << "hidden flat " << i;
     for (const ExecContext &ctx : {serial, par}) {
-        Tensor logits = packed.classify(ctx, ids);
+        Tensor logits = classify(ctx, packed.engine(), ids);
         ASSERT_EQ(logits.size(), ref.size());
         for (std::size_t i = 0; i < ref.size(); ++i)
             EXPECT_EQ(logits(i), ref.flat()[i])
@@ -323,7 +324,7 @@ TEST(QuantizedBertModelTest, MixedPrecisionBitsRespected)
     options.bitsFor = mixedPolicy(6, 3, 4);
     QuantizedBertModel qmodel(model, options);
     std::vector<std::int32_t> ids{1, 2, 3, 4};
-    Tensor h = qmodel.encode(ids);
+    Tensor h = encodeSequence(qmodel.engine(), ids);
     for (float v : h.flat())
         EXPECT_TRUE(std::isfinite(v));
 }

@@ -17,6 +17,7 @@
 #include "exec/session.hh"
 #include "exec/threadpool.hh"
 #include "model/generate.hh"
+#include "obs/observer.hh"
 #include "util/rng.hh"
 
 namespace gobo {
@@ -72,7 +73,7 @@ TEST(PackedHotPath, NoScratchAllocationAfterWarmUp)
     qopt.base.bits = 3;
     QuantizedBertModel qmodel(s.model, qopt);
 
-    // Rows one classify() decodes: every encoder layer's out features,
+    // Rows one headLogits() decodes: every encoder layer's out features,
     // plus the pooler's — each weight row once per forward. grainFlops
     // = 1 splits every layer across the 4-thread grid.
     std::size_t rows = 0, largest_block = 0;
@@ -111,6 +112,35 @@ TEST(PackedHotPath, NoScratchAllocationAfterWarmUp)
                       after.arenas * largest_block);
         }
     }
+}
+
+TEST(PackedHotPath, RowsDecodedCounterCountsEveryDecode)
+{
+    // A 4x64 layer on 32 rows cannot feed the 16-task grid of
+    // parallel(4) with row blocks alone, so the grid also splits the
+    // activation axis and each of the 4 activation blocks decodes all
+    // 4 rows: the counters must report the 16 rows the tasks decoded.
+    Rng rng(11);
+    Tensor w(4, 64), x(32, 64);
+    rng.fillGaussian(w.data(), 0.0, 0.05);
+    rng.fillGaussian(x.data(), 0.0, 1.0);
+    GoboConfig cfg;
+    cfg.bits = 3;
+    QuantizedLinear layer(quantizeTensor(w, cfg), Tensor(4), "probe");
+
+    Observer obs;
+    ExecContext ctx = ExecContext::parallel(4);
+    ctx.grainFlops = 1;
+    ctx.obs = &obs;
+    ScratchStats before = scratchStats();
+    layer.forward(ctx, x);
+    ScratchStats after = scratchStats();
+
+    MetricsSnapshot snap = obs.metrics.snapshot();
+    EXPECT_EQ(after.decodeRowMisses - before.decodeRowMisses, 16u);
+    EXPECT_EQ(snap.findCounter("qexec.rows_decoded")->value, 16u);
+    EXPECT_EQ(snap.findCounter("qexec.layer.probe.rows_decoded")->value,
+              16u);
 }
 
 } // namespace

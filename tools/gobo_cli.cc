@@ -63,6 +63,7 @@
  * which GOBO_KERNEL matrix cells the runner supports.
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -71,6 +72,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "core/container.hh"
 #include "core/qexec.hh"
@@ -151,7 +153,9 @@ usage(const char *msg = nullptr)
 
 /**
  * Flat flag parser: positional args plus --key value pairs. Flags
- * named in `switches` are booleans and consume no value.
+ * named in `switches` are booleans and consume no value. A flag the
+ * subcommand does not accept is a usage error, so a misspelled flag
+ * never silently runs with its default.
  */
 struct Args
 {
@@ -169,13 +173,19 @@ struct Args
     }
 
     static Args
-    parse(int argc, char **argv, int first)
+    parse(int argc, char **argv, int first,
+          const std::vector<std::string> &accepted)
     {
         Args a;
         for (int i = first; i < argc; ++i) {
             std::string arg = argv[i];
             if (arg.rfind("--", 0) == 0) {
                 std::string key = arg.substr(2);
+                if (std::find(accepted.begin(), accepted.end(), key)
+                    == accepted.end())
+                    usage(("unknown flag " + arg + " for "
+                           + std::string(argv[first - 1]))
+                              .c_str());
                 if (isSwitch(key)) {
                     a.flags[key] = "1";
                     continue;
@@ -874,6 +884,53 @@ cmdKernels(const Args &)
     return 0;
 }
 
+/** A subcommand and every flag it accepts (switches included). */
+struct Command
+{
+    const char *name;
+    int (*run)(const Args &);
+    std::vector<std::string> flags;
+};
+
+/** The execution and admission flags runServeStack reads. */
+std::vector<std::string>
+serveStackFlags(std::vector<std::string> extra)
+{
+    std::vector<std::string> flags = {
+        "trace", "threads", "backend", "kernel", "engine", "max-queue",
+        "flush-deadline-us", "deadline-us", "band-width", "service-rate",
+        "window-us", "recorder-capacity", "timeline-out"};
+    flags.insert(flags.end(), extra.begin(), extra.end());
+    return flags;
+}
+
+const Command *
+findCommand(const std::string &name)
+{
+    static const Command commands[] = {
+        {"generate", cmdGenerate, {"family", "scale", "seed", "out"}},
+        {"compress", cmdCompress,
+         {"out", "bits", "embedding-bits", "method", "threshold",
+          "threads"}},
+        {"decompress", cmdDecompress, {"out"}},
+        {"inspect", cmdInspect, {}},
+        {"infer", cmdInfer,
+         {"threads", "backend", "kernel", "batch", "seq-len", "seed",
+          "engine", "trace", "metrics", "metrics-json", "pmu"}},
+        {"audit", cmdAudit,
+         {"bits", "embedding-bits", "method", "threshold", "sequences",
+          "seq-len", "seed", "json", "pmu"}},
+        {"serve", cmdServe,
+         serveStackFlags({"json", "metrics", "metrics-json", "trace-out"})},
+        {"top", cmdTop, serveStackFlags({})},
+        {"kernels", cmdKernels, {}},
+    };
+    for (const Command &c : commands)
+        if (name == c.name)
+            return &c;
+    return nullptr;
+}
+
 } // namespace
 
 int
@@ -882,27 +939,12 @@ main(int argc, char **argv)
     if (argc < 2)
         usage();
     std::string cmd = argv[1];
-    Args args = Args::parse(argc, argv, 2);
-    try {
-        if (cmd == "generate")
-            return cmdGenerate(args);
-        if (cmd == "compress")
-            return cmdCompress(args);
-        if (cmd == "decompress")
-            return cmdDecompress(args);
-        if (cmd == "inspect")
-            return cmdInspect(args);
-        if (cmd == "infer")
-            return cmdInfer(args);
-        if (cmd == "audit")
-            return cmdAudit(args);
-        if (cmd == "serve")
-            return cmdServe(args);
-        if (cmd == "top")
-            return cmdTop(args);
-        if (cmd == "kernels")
-            return cmdKernels(args);
+    const Command *command = findCommand(cmd);
+    if (!command)
         usage(("unknown command: " + cmd).c_str());
+    Args args = Args::parse(argc, argv, 2, command->flags);
+    try {
+        return command->run(args);
     } catch (const gobo::FatalError &e) {
         std::fprintf(stderr, "fatal: %s\n", e.what());
         return 1;
