@@ -125,7 +125,6 @@ main(int argc, char **argv)
     auto trace = generateTrace(*spec, cfg.vocabSize);
 
     ModelQuantOptions qopt = uniformOptions(3, CentroidMethod::Gobo, 4);
-    qopt.threads = threads;
     InferenceSession session(QuantizedBertModel(model, qopt),
                              ExecContext::parallel(threads));
 

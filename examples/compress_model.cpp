@@ -63,8 +63,8 @@ main(int argc, char **argv)
                     / static_cast<double>(gobc_size),
                 report.totalCompressionRatio());
 
-    // 3. Reload — a plain FP32 model comes back — and 4. re-evaluate.
-    BertModel decoded = loadCompressedModel(gobc_path.string());
+    // 3. Reload the stored model, decode it to FP32, and 4. re-evaluate.
+    BertModel decoded = loadCompressedModel(gobc_path.string()).dequantize();
     double quantized_acc = evaluate(decoded, dev);
     std::printf("decoded accuracy: %.2f%% (delta %+.2f%%)\n",
                 100.0 * quantized_acc,

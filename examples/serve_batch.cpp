@@ -136,7 +136,6 @@ main(int argc, char **argv)
     // compare predictions, throughput and resident weight bytes.
     ModelQuantOptions qopt;
     qopt.base.bits = 3;
-    qopt.threads = threads;
     InferenceSession packed(QuantizedBertModel(model, qopt),
                             ExecContext::parallel(threads));
     auto qp = packed.headLogitsBatch(batch);

@@ -4,6 +4,7 @@
 #include <istream>
 #include <ostream>
 
+#include "model/generate.hh"
 #include "model/serialize.hh"
 #include "util/binio.hh"
 #include "util/logging.hh"
@@ -15,34 +16,27 @@ namespace {
 constexpr std::uint32_t containerMagic = 0x474f4243; // "GOBC"
 constexpr std::uint32_t containerVersion = 1;
 
-void
-writeConfig(std::ostream &os, const ModelConfig &c)
+/**
+ * The FP32 tensors stored after the FC weights, in file order: per
+ * encoder the query, key, value and attention-output biases, the
+ * attention layer norm, the intermediate and output biases and the
+ * output layer norm; then the pooler bias and the task head. `bias[i]`
+ * is FC layer i's bias in fcLayers() order.
+ */
+template <typename T, typename Model>
+std::vector<T *>
+fp32Remainder(Model &params, const std::vector<T *> &bias)
 {
-    writePod<std::uint32_t>(os, static_cast<std::uint32_t>(c.family));
-    writePod<std::uint64_t>(os, c.numLayers);
-    writePod<std::uint64_t>(os, c.hidden);
-    writePod<std::uint64_t>(os, c.intermediate);
-    writePod<std::uint64_t>(os, c.numHeads);
-    writePod<std::uint64_t>(os, c.vocabSize);
-    writePod<std::uint64_t>(os, c.maxPosition);
-    writeString(os, c.name);
-}
-
-ModelConfig
-readConfig(std::istream &is)
-{
-    ModelConfig c;
-    c.family = static_cast<ModelFamily>(readPod<std::uint32_t>(is));
-    c.numLayers = static_cast<std::size_t>(readPod<std::uint64_t>(is));
-    c.hidden = static_cast<std::size_t>(readPod<std::uint64_t>(is));
-    c.intermediate = static_cast<std::size_t>(
-        readPod<std::uint64_t>(is));
-    c.numHeads = static_cast<std::size_t>(readPod<std::uint64_t>(is));
-    c.vocabSize = static_cast<std::size_t>(readPod<std::uint64_t>(is));
-    c.maxPosition = static_cast<std::size_t>(readPod<std::uint64_t>(is));
-    c.name = readString(is);
-    c.check();
-    return c;
+    std::vector<T *> out;
+    for (std::size_t e = 0; e < params.encoders.size(); ++e) {
+        auto &enc = params.encoders[e];
+        T *const *b = bias.data() + 6 * e;
+        out.insert(out.end(), {b[0], b[1], b[2], b[3], &enc.attnLnGamma,
+                               &enc.attnLnBeta, b[4], b[5],
+                               &enc.outLnGamma, &enc.outLnBeta});
+    }
+    out.insert(out.end(), {bias.back(), &params.headW, &params.headB});
+    return out;
 }
 
 } // namespace
@@ -52,70 +46,38 @@ saveCompressedModel(std::ostream &os, const BertModel &model,
                     const ModelQuantOptions &options)
 {
     ModelQuantReport report;
-    const auto &cfg = model.config();
+    saveCompressedModel(os, QuantizedBertModel(model, options, &report));
+    return report;
+}
+
+void
+saveCompressedModel(std::ostream &os, const QuantizedBertModel &model)
+{
+    const BertModel &p = model.fp32Params();
+    const auto &embedding = model.quantizedEmbedding();
 
     writePod(os, containerMagic);
     writePod(os, containerVersion);
-    writeConfig(os, cfg);
-    writePod<std::uint64_t>(os, model.headW.rows());
-    writePod<std::uint32_t>(os, options.embeddingBits);
+    writeModelHeader(os, p.config(), p.headW.rows());
+    writePod<std::uint32_t>(os, embedding ? embedding->bits : 0);
 
-    // Word embedding: quantized when requested, raw otherwise.
-    report.embeddingOriginalBytes = model.wordEmbedding.size()
-                                    * sizeof(float);
-    if (options.embeddingBits > 0) {
-        GoboConfig ecfg = options.base;
-        ecfg.bits = options.embeddingBits;
-        QuantizedTensor q = quantizeTensor(model.wordEmbedding, ecfg);
-        q.save(os);
-        report.embeddingPayloadBytes = q.payloadBytes();
-    } else {
-        writeTensor(os, model.wordEmbedding);
-        report.embeddingPayloadBytes = report.embeddingOriginalBytes;
-    }
-    writeTensor(os, model.positionEmbedding);
-    writeTensor(os, model.embLnGamma);
-    writeTensor(os, model.embLnBeta);
+    // Word embedding: quantized when stored so, raw otherwise.
+    if (embedding)
+        embedding->save(os);
+    else
+        writeTensor(os, p.wordEmbedding);
+    writeTensor(os, p.positionEmbedding);
+    writeTensor(os, p.embLnGamma);
+    writeTensor(os, p.embLnBeta);
 
     // FC weights in enumeration order, each as a quantized tensor.
-    for (const auto &layer : model.fcLayers()) {
-        GoboConfig lcfg = options.base;
-        lcfg.bits = options.effectiveBits(layer.kind, layer.encoder);
-        LayerQuantStats stats;
-        QuantizedTensor q = quantizeTensor(*layer.weight, lcfg, &stats);
-        q.save(os);
-
-        LayerReportEntry entry;
-        entry.name = layer.name;
-        entry.kind = layer.kind;
-        entry.encoder = layer.encoder;
-        entry.elements = q.elementCount();
-        entry.bits = q.bits;
-        entry.payloadBytes = q.payloadBytes();
-        entry.stats = stats;
-        report.layers.push_back(std::move(entry));
-        report.weightOriginalBytes += q.originalBytes();
-        report.weightPayloadBytes += q.payloadBytes();
-    }
-
-    // FP32 remainder: biases and layer norms per encoder, pooler bias,
-    // head.
-    for (const auto &enc : model.encoders) {
-        writeTensor(os, enc.queryB);
-        writeTensor(os, enc.keyB);
-        writeTensor(os, enc.valueB);
-        writeTensor(os, enc.attnOutB);
-        writeTensor(os, enc.attnLnGamma);
-        writeTensor(os, enc.attnLnBeta);
-        writeTensor(os, enc.interB);
-        writeTensor(os, enc.outB);
-        writeTensor(os, enc.outLnGamma);
-        writeTensor(os, enc.outLnBeta);
-    }
-    writeTensor(os, model.poolerB);
-    writeTensor(os, model.headW);
-    writeTensor(os, model.headB);
-    return report;
+    std::vector<const Tensor *> bias;
+    model.forEachLayer([&](const QuantizedLinear &l) {
+        l.compressed().save(os);
+        bias.push_back(&l.fp32Bias());
+    });
+    for (const Tensor *t : fp32Remainder(p, bias))
+        writeTensor(os, *t);
 }
 
 ModelQuantReport
@@ -129,7 +91,7 @@ saveCompressedModel(const std::string &path, const BertModel &model,
     return report;
 }
 
-BertModel
+QuantizedBertModel
 loadCompressedModel(std::istream &is)
 {
     fatalIf(readPod<std::uint32_t>(is) != containerMagic,
@@ -138,60 +100,59 @@ loadCompressedModel(std::istream &is)
     fatalIf(version != containerVersion,
             "unsupported compressed-model version ", version);
 
-    ModelConfig cfg = readConfig(is);
-    auto head_rows = static_cast<std::size_t>(readPod<std::uint64_t>(is));
+    std::size_t head_rows = 0;
+    ModelConfig cfg = readModelHeader(is, head_rows);
     auto emb_bits = readPod<std::uint32_t>(is);
 
-    BertModel model(cfg);
-    model.resizeHead(head_rows);
-
-    auto expect_shape = [](const Tensor &t, std::size_t rows,
-                           std::size_t cols, const char *what) {
-        fatalIf(t.rows() != rows || t.cols() != cols,
-                "compressed model shape mismatch for ", what);
-    };
-
+    BertModel params = BertModel::unallocated(cfg);
+    std::optional<QuantizedTensor> embedding;
     if (emb_bits > 0) {
-        QuantizedTensor q = QuantizedTensor::load(is);
-        Tensor t = q.dequantize();
-        expect_shape(t, cfg.vocabSize, cfg.hidden, "word embedding");
-        model.wordEmbedding = std::move(t);
+        embedding = QuantizedTensor::load(is);
+        params.wordEmbedding = embedding->dequantize();
     } else {
-        model.wordEmbedding = readTensor(is);
-        expect_shape(model.wordEmbedding, cfg.vocabSize, cfg.hidden,
-                     "word embedding");
+        params.wordEmbedding = readTensor(is);
     }
-    model.positionEmbedding = readTensor(is);
-    model.embLnGamma = readTensor(is);
-    model.embLnBeta = readTensor(is);
+    fatalIf(params.wordEmbedding.rows() != cfg.vocabSize
+                || params.wordEmbedding.cols() != cfg.hidden,
+            "compressed model shape mismatch for word embedding");
+    params.positionEmbedding = readTensor(is);
+    params.embLnGamma = readTensor(is);
+    params.embLnBeta = readTensor(is);
 
-    for (auto &layer : model.fcLayers()) {
-        QuantizedTensor q = QuantizedTensor::load(is);
-        Tensor t = q.dequantize();
-        expect_shape(t, layer.weight->rows(), layer.weight->cols(),
-                     layer.name.c_str());
-        *layer.weight = std::move(t);
+    auto specs = fcLayerSpecs(cfg);
+    std::vector<QuantizedTensor> weights;
+    weights.reserve(specs.size());
+    for (const auto &spec : specs) {
+        weights.push_back(QuantizedTensor::load(is));
+        fatalIf(weights.back().rows != spec.rows
+                    || weights.back().cols != spec.cols,
+                "compressed model shape mismatch for ", spec.name);
     }
+    std::vector<Tensor> biases(specs.size());
+    std::vector<Tensor *> bias;
+    for (Tensor &b : biases)
+        bias.push_back(&b);
+    for (Tensor *t : fp32Remainder(params, bias))
+        *t = readTensor(is);
+    fatalIf(params.headW.rows() != head_rows
+                || params.headW.cols() != cfg.hidden,
+            "compressed model shape mismatch for head");
 
-    for (auto &enc : model.encoders) {
-        enc.queryB = readTensor(is);
-        enc.keyB = readTensor(is);
-        enc.valueB = readTensor(is);
-        enc.attnOutB = readTensor(is);
-        enc.attnLnGamma = readTensor(is);
-        enc.attnLnBeta = readTensor(is);
-        enc.interB = readTensor(is);
-        enc.outB = readTensor(is);
-        enc.outLnGamma = readTensor(is);
-        enc.outLnBeta = readTensor(is);
-    }
-    model.poolerB = readTensor(is);
-    model.headW = readTensor(is);
-    model.headB = readTensor(is);
-    return model;
+    for (std::size_t i = 0; i < specs.size(); ++i)
+        fatalIf(biases[i].rank() != 1 || biases[i].size() != specs[i].rows,
+                "compressed model bias length mismatch for ",
+                specs[i].name);
+
+    std::vector<QuantizedLinear> layers;
+    layers.reserve(specs.size());
+    for (std::size_t i = 0; i < specs.size(); ++i)
+        layers.emplace_back(std::move(weights[i]), std::move(biases[i]),
+                            fcLayerLabel(specs[i].kind, specs[i].encoder));
+    return QuantizedBertModel(std::move(params), std::move(layers),
+                              std::move(embedding));
 }
 
-BertModel
+QuantizedBertModel
 loadCompressedModel(const std::string &path)
 {
     std::ifstream is(path, std::ios::binary);

@@ -2,14 +2,16 @@
  * @file
  * The GOBO compressed-model container ("GOBC").
  *
- * This is the deployable artifact of the whole pipeline: every FC
- * weight matrix stored in the GOBO format (packed B-bit indexes, FP32
- * centroid table, FP32 outliers), the word embedding optionally
- * quantized the same way, and everything the paper leaves FP32 —
- * biases, layer norms, position embeddings, the task head — stored
- * raw. Loading decodes back into a plain FP32 BertModel, which is what
- * makes GOBO "plug-in compatible with any execution engine": the
- * loaded model runs through the unmodified inference engine.
+ * This is the deployable artifact of the whole pipeline and the stored
+ * form of a QuantizedBertModel (core/qexec.hh): every FC weight matrix
+ * in the GOBO format (packed B-bit indexes, FP32 centroid table, FP32
+ * outliers), the word embedding optionally quantized the same way, and
+ * everything the paper leaves FP32 — biases, layer norms, position
+ * embeddings, the task head — stored raw. Loading builds each
+ * QuantizedLinear straight from its stored tensor and calls no
+ * quantizer, so every layer runs at the width it was stored with.
+ * QuantizedBertModel::dequantize() yields the plain FP32 model, which
+ * is what makes GOBO "plug-in compatible with any execution engine".
  *
  * The file size is the honest end-to-end measurement behind the
  * compression-ratio claims: compare it against the FP32 model written
@@ -22,16 +24,14 @@
 #include <iosfwd>
 #include <string>
 
-#include "core/quantizer.hh"
-#include "model/model.hh"
+#include "core/qexec.hh"
 
 namespace gobo {
 
 /**
- * Quantize `model`'s FC weights (and optionally the word embedding)
- * per `options` and write the compressed container. The model itself
- * is not modified. Returns the same accounting quantizeModelInPlace
- * produces.
+ * Quantize `model` per `options` (QuantizedBertModel's constructor)
+ * and write the result. The model itself is not modified. Returns the
+ * same accounting quantizeModelInPlace produces.
  */
 ModelQuantReport saveCompressedModel(std::ostream &os,
                                      const BertModel &model,
@@ -42,14 +42,18 @@ ModelQuantReport saveCompressedModel(const std::string &path,
                                      const BertModel &model,
                                      const ModelQuantOptions &options);
 
+/** Write `model` as a container. */
+void saveCompressedModel(std::ostream &os, const QuantizedBertModel &model);
+
 /**
- * Load a container and decode it into an FP32 model. Fatal on
- * malformed input.
+ * Load a container as the model it stores. Fatal on malformed input,
+ * including a stored tensor whose shape disagrees with the stored
+ * config.
  */
-BertModel loadCompressedModel(std::istream &is);
+QuantizedBertModel loadCompressedModel(std::istream &is);
 
 /** File variant. Fatal if the file cannot be opened. */
-BertModel loadCompressedModel(const std::string &path);
+QuantizedBertModel loadCompressedModel(const std::string &path);
 
 } // namespace gobo
 

@@ -29,6 +29,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -128,6 +129,9 @@ class QuantizedLinear
     /** The compressed weights (for storage accounting). */
     const QuantizedTensor &compressed() const { return weights; }
 
+    /** The FP32 bias [out]. */
+    const Tensor &fp32Bias() const { return bias; }
+
     /** This layer's name in trace spans and counters. */
     const std::string &spanLabel() const { return label; }
 
@@ -163,11 +167,29 @@ class QuantizedBertModel
 {
   public:
     /**
-     * Quantize `model` per `options` into an executable form. The
-     * source model is not modified.
+     * Quantize `model` per `options` (`model` is not modified), filling
+     * `report`, when given, as quantizeModelInPlace does. Copies the
+     * FP32 parameters, then quantizes one layer at a time on this
+     * thread, ignoring options.threads: on the pool, perfbench set-up
+     * fell from 8.3 to 2.4 s but peak RSS rose from 442 to 518-600 MiB
+     * (about 24 B per weight of each layer in flight).
      */
     QuantizedBertModel(const BertModel &model,
-                       const ModelQuantOptions &options);
+                       const ModelQuantOptions &options,
+                       ModelQuantReport *report = nullptr);
+
+    /**
+     * Assemble a model from stored parts, quantizing nothing (the GOBC
+     * loader): `params` as withoutFcLayers() leaves them, the FC
+     * `layers` in fcLayers() order, and the quantized `embedding` whose
+     * decode is params.wordEmbedding, if any.
+     */
+    QuantizedBertModel(BertModel params,
+                       std::vector<QuantizedLinear> layers,
+                       std::optional<QuantizedTensor> embedding);
+
+    /** The FP32 model this one decodes to (`gobo decompress`). */
+    BertModel dequantize() const;
 
     /**
      * This model as the shared encoder runs it (encodeSequence,
@@ -198,13 +220,24 @@ class QuantizedBertModel
 
     const ModelConfig &config() const { return params.config(); }
 
+    /** FP32 parameters around the FC layers; its FC tensors are empty. */
+    const BertModel &fp32Params() const { return params; }
+
+    /** The stored word embedding, when it is quantized. */
+    const std::optional<QuantizedTensor> &
+    quantizedEmbedding() const
+    {
+        return embedding;
+    }
+
   private:
     const QuantizedLinear &layer(FcKind kind, std::size_t encoder) const;
 
-    /** FP32 parameters around the FC layers; its FC tensors are empty. */
     BertModel params;
     /** The 6 * numLayers + 1 FC layers in fcLayers() order. */
     std::vector<QuantizedLinear> layers;
+    /** Set when embeddingBits > 0, so a save never quantizes again. */
+    std::optional<QuantizedTensor> embedding;
 };
 
 } // namespace gobo

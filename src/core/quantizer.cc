@@ -117,7 +117,13 @@ ModelQuantReport::overallOutlierFraction() const
     return static_cast<double>(outliers) / static_cast<double>(total);
 }
 
-namespace {
+void
+ModelQuantReport::addLayer(LayerReportEntry entry)
+{
+    weightOriginalBytes += entry.elements * sizeof(float);
+    weightPayloadBytes += entry.payloadBytes;
+    layers.push_back(std::move(entry));
+}
 
 LayerReportEntry
 accountLayer(const std::string &name, FcKind kind, std::size_t encoder,
@@ -133,8 +139,6 @@ accountLayer(const std::string &name, FcKind kind, std::size_t encoder,
     entry.stats = stats;
     return entry;
 }
-
-} // namespace
 
 ModelQuantReport
 quantizeModelInPlace(BertModel &model, const ModelQuantOptions &options)
@@ -154,20 +158,15 @@ quantizeModelInPlace(BertModel &model, const ModelQuantOptions &options)
                                   q, stats);
         *layer.weight = q.dequantize();
     });
-    for (auto &entry : entries) {
-        report.weightOriginalBytes += entry.elements * sizeof(float);
-        report.weightPayloadBytes += entry.payloadBytes;
-        report.layers.push_back(std::move(entry));
-    }
+    for (auto &entry : entries)
+        report.addLayer(std::move(entry));
 
     report.embeddingOriginalBytes = model.wordEmbedding.size()
                                     * sizeof(float);
     if (options.embeddingBits > 0) {
         GoboConfig cfg = options.base;
         cfg.bits = options.embeddingBits;
-        LayerQuantStats stats;
-        QuantizedTensor q = quantizeTensor(model.wordEmbedding, cfg,
-                                           &stats);
+        QuantizedTensor q = quantizeTensor(model.wordEmbedding, cfg);
         report.embeddingPayloadBytes = q.payloadBytes();
         model.wordEmbedding = q.dequantize();
     } else {
@@ -195,11 +194,8 @@ quantizeConfigStreaming(const ModelConfig &config, std::uint64_t seed,
         entries[i] = accountLayer(spec.name, spec.kind, spec.encoder, q,
                                   stats);
     });
-    for (auto &entry : entries) {
-        report.weightOriginalBytes += entry.elements * sizeof(float);
-        report.weightPayloadBytes += entry.payloadBytes;
-        report.layers.push_back(std::move(entry));
-    }
+    for (auto &entry : entries)
+        report.addLayer(std::move(entry));
 
     report.embeddingOriginalBytes = config.wordEmbeddingParams()
                                     * sizeof(float);

@@ -77,10 +77,10 @@ struct ModelQuantOptions
      */
     std::function<unsigned(FcKind, std::size_t /*encoder*/)> bitsFor;
     /**
-     * Worker threads for the model-level drivers; layers are
-     * quantized independently, so the result is bit-identical to the
-     * single-threaded run. 1 (default) keeps everything on one core,
-     * matching the paper's deployment claim.
+     * Worker threads for quantizeModelInPlace and
+     * quantizeConfigStreaming, bit-identical to one thread (the
+     * default). QuantizedBertModel does not read it: see its
+     * constructor for the peak-RSS measurement.
      */
     std::size_t threads = 1;
     /** Always Packed; kept only for the frozen perfbench/ harness
@@ -123,7 +123,15 @@ struct ModelQuantReport
 
     /** Mean outlier fraction weighted by layer size. */
     double overallOutlierFraction() const;
+
+    /** Append one layer's entry and add it to the weight totals. */
+    void addLayer(LayerReportEntry entry);
 };
+
+/** The report entry for one quantized layer. */
+LayerReportEntry accountLayer(const std::string &name, FcKind kind,
+                              std::size_t encoder, const QuantizedTensor &q,
+                              const LayerQuantStats &stats);
 
 /**
  * Quantize every FC weight matrix (and optionally the word embedding)

@@ -54,18 +54,19 @@ enumerateFcLayers(Model &m)
     out.reserve(m.config().numFcLayers());
     for (std::size_t e = 0; e < m.encoders.size(); ++e) {
         auto &enc = m.encoders[e];
-        std::string prefix = "encoder" + std::to_string(e) + ".";
-        out.push_back({prefix + "query", FcKind::Query, e, &enc.queryW});
-        out.push_back({prefix + "key", FcKind::Key, e, &enc.keyW});
-        out.push_back({prefix + "value", FcKind::Value, e, &enc.valueW});
-        out.push_back({prefix + "attn_output", FcKind::AttnOutput, e,
-                       &enc.attnOutW});
-        out.push_back({prefix + "intermediate", FcKind::Intermediate, e,
-                       &enc.interW});
-        out.push_back({prefix + "output", FcKind::Output, e, &enc.outW});
+        auto add = [&](const char *name, FcKind kind, auto &w, auto &b) {
+            out.push_back({"encoder" + std::to_string(e) + "." + name,
+                           kind, e, &w, &b});
+        };
+        add("query", FcKind::Query, enc.queryW, enc.queryB);
+        add("key", FcKind::Key, enc.keyW, enc.keyB);
+        add("value", FcKind::Value, enc.valueW, enc.valueB);
+        add("attn_output", FcKind::AttnOutput, enc.attnOutW, enc.attnOutB);
+        add("intermediate", FcKind::Intermediate, enc.interW, enc.interB);
+        add("output", FcKind::Output, enc.outW, enc.outB);
     }
     out.push_back({"pooler", FcKind::Pooler, m.encoders.size(),
-                   &m.poolerW});
+                   &m.poolerW, &m.poolerB});
     return out;
 }
 
@@ -104,13 +105,11 @@ BertModel::fcLayer(FcKind kind, std::size_t encoder) const
 BertModel
 BertModel::withoutFcLayers() const
 {
-    BertModel m;
-    m.cfg = cfg;
+    BertModel m = unallocated(cfg);
     m.wordEmbedding = wordEmbedding;
     m.positionEmbedding = positionEmbedding;
     m.embLnGamma = embLnGamma;
     m.embLnBeta = embLnBeta;
-    m.encoders.resize(encoders.size());
     for (std::size_t e = 0; e < encoders.size(); ++e) {
         m.encoders[e].attnLnGamma = encoders[e].attnLnGamma;
         m.encoders[e].attnLnBeta = encoders[e].attnLnBeta;
@@ -119,6 +118,15 @@ BertModel::withoutFcLayers() const
     }
     m.headW = headW;
     m.headB = headB;
+    return m;
+}
+
+BertModel
+BertModel::unallocated(ModelConfig config)
+{
+    BertModel m;
+    m.cfg = std::move(config);
+    m.encoders.resize(m.cfg.numLayers);
     return m;
 }
 

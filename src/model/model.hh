@@ -41,8 +41,8 @@ struct EncoderWeights
 };
 
 /**
- * Reference to one FC weight matrix inside a model, carrying the
- * metadata the quantization policies and the per-layer census need.
+ * Reference to one FC layer inside a model, carrying the metadata the
+ * quantization policies and the per-layer census need.
  */
 struct FcLayerRef
 {
@@ -50,6 +50,7 @@ struct FcLayerRef
     FcKind kind;            ///< Component kind.
     std::size_t encoder;    ///< Encoder index; numLayers for the pooler.
     Tensor *weight;         ///< The [out, in] weight matrix.
+    Tensor *bias;           ///< The [out] bias.
 };
 
 /** Const view counterpart of FcLayerRef. */
@@ -59,6 +60,7 @@ struct ConstFcLayerRef
     FcKind kind;
     std::size_t encoder;
     const Tensor *weight;
+    const Tensor *bias;
 };
 
 /**
@@ -105,6 +107,9 @@ class BertModel
      */
     BertModel withoutFcLayers() const;
 
+    /** A model of `config` with every tensor empty, for loaders. */
+    static BertModel unallocated(ModelConfig config);
+
     /** Resize the task head to `outputs` rows. */
     void resizeHead(std::size_t outputs);
 
@@ -112,7 +117,7 @@ class BertModel
     std::size_t parameterCount() const;
 
   private:
-    BertModel() = default; ///< Nothing allocated; see withoutFcLayers.
+    BertModel() = default; ///< Nothing allocated; see unallocated.
 
     ModelConfig cfg;
 };

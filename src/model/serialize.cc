@@ -5,6 +5,7 @@
 #include <istream>
 #include <ostream>
 
+#include "util/binio.hh"
 #include "util/logging.hh"
 
 namespace gobo {
@@ -13,36 +14,6 @@ namespace {
 
 constexpr std::uint32_t modelMagic = 0x474f424d; // "GOBM"
 constexpr std::uint32_t modelVersion = 1;
-
-void
-writeU64(std::ostream &os, std::uint64_t v)
-{
-    os.write(reinterpret_cast<const char *>(&v), sizeof(v));
-}
-
-void
-writeU32(std::ostream &os, std::uint32_t v)
-{
-    os.write(reinterpret_cast<const char *>(&v), sizeof(v));
-}
-
-std::uint64_t
-readU64(std::istream &is)
-{
-    std::uint64_t v = 0;
-    is.read(reinterpret_cast<char *>(&v), sizeof(v));
-    fatalIf(!is, "model stream truncated reading u64");
-    return v;
-}
-
-std::uint32_t
-readU32(std::istream &is)
-{
-    std::uint32_t v = 0;
-    is.read(reinterpret_cast<char *>(&v), sizeof(v));
-    fatalIf(!is, "model stream truncated reading u32");
-    return v;
-}
 
 /**
  * Largest plausible tensor dimension / element count in a model file.
@@ -56,7 +27,7 @@ constexpr std::uint64_t dimCeiling = std::uint64_t{1} << 31;
 std::uint64_t
 readDim(std::istream &is, const char *what)
 {
-    std::uint64_t v = readU64(is);
+    auto v = readPod<std::uint64_t>(is);
     fatalIf(v > dimCeiling, "model stream corrupt: ", what, " ", v,
             " exceeds plausible ceiling ", dimCeiling);
     return v;
@@ -89,9 +60,9 @@ forEachTensor(Model &m, Fn fn)
 void
 writeTensor(std::ostream &os, const Tensor &t)
 {
-    writeU32(os, static_cast<std::uint32_t>(t.rank()));
+    writePod<std::uint32_t>(os, static_cast<std::uint32_t>(t.rank()));
     for (std::size_t d = 0; d < t.rank(); ++d)
-        writeU64(os, t.dim(d));
+        writePod<std::uint64_t>(os, t.dim(d));
     auto flat = t.flat();
     os.write(reinterpret_cast<const char *>(flat.data()),
              static_cast<std::streamsize>(flat.size() * sizeof(float)));
@@ -100,7 +71,7 @@ writeTensor(std::ostream &os, const Tensor &t)
 Tensor
 readTensor(std::istream &is)
 {
-    std::uint32_t rank = readU32(is);
+    auto rank = readPod<std::uint32_t>(is);
     fatalIf(rank > 2, "tensor rank ", rank, " unsupported");
     Tensor t;
     if (rank == 1) {
@@ -121,22 +92,39 @@ readTensor(std::istream &is)
 }
 
 void
+writeModelHeader(std::ostream &os, const ModelConfig &c,
+                 std::size_t head_outputs)
+{
+    writePod<std::uint32_t>(os, static_cast<std::uint32_t>(c.family));
+    for (std::size_t dim : {c.numLayers, c.hidden, c.intermediate,
+                            c.numHeads, c.vocabSize, c.maxPosition})
+        writePod<std::uint64_t>(os, dim);
+    writeString(os, c.name);
+    writePod<std::uint64_t>(os, head_outputs);
+}
+
+ModelConfig
+readModelHeader(std::istream &is, std::size_t &head_outputs)
+{
+    // The config dims size the tensors a loader allocates, so they go
+    // through the same ceiling as raw tensor headers.
+    ModelConfig c;
+    c.family = static_cast<ModelFamily>(readPod<std::uint32_t>(is));
+    for (std::size_t *dim : {&c.numLayers, &c.hidden, &c.intermediate,
+                             &c.numHeads, &c.vocabSize, &c.maxPosition})
+        *dim = static_cast<std::size_t>(readDim(is, "config dimension"));
+    c.name = readString(is);
+    head_outputs = static_cast<std::size_t>(readDim(is, "head outputs"));
+    c.check();
+    return c;
+}
+
+void
 saveModel(std::ostream &os, const BertModel &model)
 {
-    const auto &c = model.config();
-    writeU32(os, modelMagic);
-    writeU32(os, modelVersion);
-    writeU32(os, static_cast<std::uint32_t>(c.family));
-    writeU64(os, c.numLayers);
-    writeU64(os, c.hidden);
-    writeU64(os, c.intermediate);
-    writeU64(os, c.numHeads);
-    writeU64(os, c.vocabSize);
-    writeU64(os, c.maxPosition);
-    writeU64(os, c.name.size());
-    os.write(c.name.data(), static_cast<std::streamsize>(c.name.size()));
-    writeU64(os, model.headW.rows());
-
+    writePod(os, modelMagic);
+    writePod(os, modelVersion);
+    writeModelHeader(os, model.config(), model.headW.rows());
     forEachTensor(model, [&](const Tensor &t) { writeTensor(os, t); });
 }
 
@@ -152,31 +140,13 @@ saveModel(const std::string &path, const BertModel &model)
 BertModel
 loadModel(std::istream &is)
 {
-    fatalIf(readU32(is) != modelMagic, "bad model magic");
-    std::uint32_t version = readU32(is);
+    fatalIf(readPod<std::uint32_t>(is) != modelMagic, "bad model magic");
+    auto version = readPod<std::uint32_t>(is);
     fatalIf(version != modelVersion, "unsupported model version ",
             version);
 
-    // The config dims size every tensor BertModel(c) allocates below,
-    // so they go through the same ceiling as raw tensor headers.
-    ModelConfig c;
-    c.family = static_cast<ModelFamily>(readU32(is));
-    c.numLayers = static_cast<std::size_t>(readDim(is, "numLayers"));
-    c.hidden = static_cast<std::size_t>(readDim(is, "hidden"));
-    c.intermediate = static_cast<std::size_t>(readDim(is, "intermediate"));
-    c.numHeads = static_cast<std::size_t>(readDim(is, "numHeads"));
-    c.vocabSize = static_cast<std::size_t>(readDim(is, "vocabSize"));
-    c.maxPosition = static_cast<std::size_t>(readDim(is, "maxPosition"));
-    std::size_t name_len = static_cast<std::size_t>(readU64(is));
-    fatalIf(name_len > 4096, "model name length ", name_len,
-            " implausible");
-    c.name.resize(name_len);
-    is.read(c.name.data(), static_cast<std::streamsize>(name_len));
-    fatalIf(!is, "model stream truncated reading name");
-    std::size_t head_outputs
-        = static_cast<std::size_t>(readDim(is, "head outputs"));
-
-    BertModel m(c);
+    std::size_t head_outputs = 0;
+    BertModel m(readModelHeader(is, head_outputs));
     m.resizeHead(head_outputs);
     forEachTensor(m, [&](Tensor &t) {
         Tensor loaded = readTensor(is);

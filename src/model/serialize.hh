@@ -26,6 +26,14 @@ void writeTensor(std::ostream &os, const Tensor &t);
 /** Read one tensor written by writeTensor. Fatal on malformed input. */
 Tensor readTensor(std::istream &is);
 
+/**
+ * The header GOBM and GOBC share after magic and version: the config,
+ * then the head's output count. Reading is fatal on implausible dims.
+ */
+void writeModelHeader(std::ostream &os, const ModelConfig &config,
+                      std::size_t head_outputs);
+ModelConfig readModelHeader(std::istream &is, std::size_t &head_outputs);
+
 /** Serialize a whole model to a stream. */
 void saveModel(std::ostream &os, const BertModel &model);
 

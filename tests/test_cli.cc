@@ -54,9 +54,21 @@ exitCode(int status)
     return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
 }
 
-/** The `seq ...` lines of an infer run on the packed qexec engine. */
+/** The lines of `text` that start with `prefix`. */
 std::string
-qexecLogitLines(const std::string &model)
+linesStartingWith(const std::string &text, const std::string &prefix)
+{
+    std::istringstream in(text);
+    std::string line, lines;
+    while (std::getline(in, line))
+        if (line.rfind(prefix, 0) == 0)
+            lines += line + "\n";
+    return lines;
+}
+
+/** The stdout of an infer run on the packed qexec engine. */
+std::string
+qexecInfer(const std::string &model)
 {
     std::string out;
     EXPECT_EQ(runCli("infer \"" + model
@@ -64,12 +76,14 @@ qexecLogitLines(const std::string &model)
                            " --batch 4 --seq-len 12",
                      &out),
               0);
-    std::istringstream in(out);
-    std::string line, lines;
-    while (std::getline(in, line))
-        if (line.rfind("seq", 0) == 0)
-            lines += line + "\n";
-    return lines;
+    return out;
+}
+
+/** The `seq ...` lines of an infer run on the packed qexec engine. */
+std::string
+qexecLogitLines(const std::string &model)
+{
+    return linesStartingWith(qexecInfer(model), "seq");
 }
 
 /** Every logit printed between '[' and ']' on the given lines. */
@@ -149,6 +163,51 @@ TEST(CliLogits, OneCentroidPerturbationChangesPrintedLine)
         std::remove(p.c_str());
 }
 
+/** `gobo compress` of `model` with `flags` into temp file `name`. */
+std::string
+compressedModel(const std::string &model, const std::string &name,
+                const std::string &flags)
+{
+    std::string path = uniqueTempPath(name);
+    std::string out;
+    EXPECT_EQ(runCli("compress \"" + model + "\" --out \"" + path + "\" "
+                         + flags,
+                     &out),
+              0);
+    return path;
+}
+
+/** The resident KiB the `infer` header line reports. */
+double
+residentKiB(const std::string &infer_out)
+{
+    auto end = infer_out.find(" KiB resident");
+    EXPECT_NE(end, std::string::npos) << infer_out;
+    auto begin = infer_out.rfind(' ', end - 1);
+    return std::strtod(infer_out.substr(begin, end - begin).c_str(),
+                       nullptr);
+}
+
+TEST(CliContainer, StoredModelRunsAsStored)
+{
+    // A 3-bit container holds exactly what the packed engine builds
+    // from its .gobm, so the printed logits must match to the bit; a
+    // 4-bit container must run at 4 bits, not be re-quantized to 3.
+    std::string gen = generatedModel();
+    std::string c3 = compressedModel(gen, "c3.gobc",
+                                     "--bits 3 --embedding-bits 0");
+    std::string c4 = compressedModel(gen, "c4.gobc",
+                                     "--bits 4 --embedding-bits 0");
+
+    std::string from_gobm = qexecLogitLines(gen);
+    ASSERT_FALSE(from_gobm.empty());
+    std::string out3 = qexecInfer(c3);
+    EXPECT_EQ(linesStartingWith(out3, "seq"), from_gobm);
+    EXPECT_GT(residentKiB(qexecInfer(c4)), residentKiB(out3));
+    for (const std::string &p : {gen, c3, c4})
+        std::remove(p.c_str());
+}
+
 TEST(CliFlags, UnknownFlagExitsWithUsage)
 {
     // A misspelled flag must not run with the default it misses.
@@ -163,6 +222,11 @@ TEST(CliFlags, UnknownFlagExitsWithUsage)
     // Flags are per subcommand: serve's --trace-out is not infer's.
     EXPECT_EQ(exitCode(runCli(infer + " --trace-out t.json", &out)), 2);
     EXPECT_EQ(exitCode(runCli("kernels --bogus x", &out)), 2);
+    // compress quantizes on the calling thread; it takes no --threads.
+    EXPECT_EQ(exitCode(runCli("compress \"" + model
+                                  + "\" --out c.gobc --threads 4",
+                              &out)),
+              2);
     std::remove(model.c_str());
 }
 

@@ -78,6 +78,8 @@ TEST(FuzzLoaders, ContainerSurvivesByteFlips)
     opt.embeddingBits = 4;
     std::stringstream ss;
     saveCompressedModel(ss, m, opt);
+    // The load builds every QuantizedLinear, so flipped bytes also meet
+    // the executable layers' own checks.
     fuzzOneByte(ss.str(),
                 [](std::istream &is) { (void)loadCompressedModel(is); },
                 150, 711);
@@ -148,6 +150,21 @@ TEST(FuzzLoaders, HugeModelConfigRejectedBeforeAllocation)
     std::memcpy(bytes.data() + 12 + 4 * 8, &huge, sizeof(huge));
     std::stringstream in(bytes);
     EXPECT_THROW((void)loadModel(in), FatalError);
+}
+
+TEST(FuzzLoaders, HugeContainerConfigRejectedBeforeAllocation)
+{
+    // The container shares the model header, so a corrupt dimension is
+    // refused against the same ceiling before anything is allocated.
+    auto cfg = miniConfig(ModelFamily::DistilBert);
+    BertModel m = generateModel(cfg, 719);
+    std::stringstream ss;
+    saveCompressedModel(ss, m, ModelQuantOptions{});
+    std::string bytes = ss.str();
+    std::uint64_t huge = std::uint64_t{1} << 45;
+    std::memcpy(bytes.data() + 12 + 4 * 8, &huge, sizeof(huge));
+    std::stringstream in(bytes);
+    EXPECT_THROW((void)loadCompressedModel(in), FatalError);
 }
 
 TEST(FuzzLoaders, HeaderFlipsAlwaysRejected)

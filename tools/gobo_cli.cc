@@ -40,7 +40,9 @@
  * engine can consume; `inspect` prints what a file contains; `infer`
  * serves a batch of random sequences through an InferenceSession on
  * the chosen execution backend and reports logits (as exact `%a` hex
- * floats) and tokens/sec.
+ * floats) and tokens/sec. On a container, `infer` and `serve` with
+ * `--engine qexec` run the stored packed layers as they are, and
+ * `--engine fp32` runs their decode.
  * With `--trace` the run is recorded as Chrome trace-event JSON
  * (load it in chrome://tracing or ui.perfetto.dev); `--metrics`
  * prints the counter/histogram registry plus a span summary and the
@@ -261,6 +263,72 @@ parseU64Flag(const Args &args, const std::string &key,
     return *v;
 }
 
+/** True for a GOBC container, false for a GOBM model (by magic). */
+bool
+isContainer(const std::string &path)
+{
+    std::ifstream is(path, std::ios::binary);
+    fatalIf(!is, "cannot open ", path);
+    char magic[4] = {};
+    is.read(magic, 4);
+    fatalIf(!is, "cannot read ", path);
+    // Magic words are written as little-endian u32, so the bytes on
+    // disk read "MBOG" (FP32 model) or "CBOG" (compressed container).
+    if (std::memcmp(magic, "CBOG", 4) == 0)
+        return true;
+    fatalIf(std::memcmp(magic, "MBOG", 4) != 0, path,
+            " is neither a GOBM model nor a GOBC container");
+    return false;
+}
+
+/** The FP32 model in `path`: a GOBM model, or one decode of a GOBC. */
+BertModel
+loadFp32(const std::string &path)
+{
+    return isContainer(path) ? loadCompressedModel(path).dequantize()
+                             : loadModel(path);
+}
+
+/**
+ * `path` on `engine` under `ctx`: on qexec a container runs as stored
+ * and a GOBM model quantized with the default options.
+ */
+InferenceSession
+openSession(const std::string &path, const std::string &engine,
+            const ExecContext &ctx)
+{
+    if (engine == "fp32")
+        return InferenceSession(loadFp32(path), ctx);
+    if (engine != "qexec")
+        usage(("unknown engine: " + engine).c_str());
+    if (isContainer(path))
+        return InferenceSession(loadCompressedModel(path), ctx);
+    return InferenceSession(
+        QuantizedBertModel(loadModel(path), ModelQuantOptions{}), ctx);
+}
+
+/**
+ * The context --threads, --backend and --kernel ask for. Without
+ * --kernel it keeps the process's tier (cpuid best, or GOBO_KERNEL).
+ */
+ExecContext
+execContextFromFlags(const Args &args)
+{
+    auto threads =
+        static_cast<std::size_t>(parseU64Flag(args, "threads", "0"));
+    std::string backend = args.get("backend", "parallel");
+    ExecContext ctx;
+    if (backend == "serial")
+        ctx = ExecContext::serial();
+    else if (backend == "parallel")
+        ctx = ExecContext::parallel(threads);
+    else
+        usage(("unknown backend: " + backend).c_str());
+    ctx.kernels = args.has("kernel") ? &kernelsByName(args.get("kernel", ""))
+                                     : &activeKernels();
+    return ctx;
+}
+
 int
 cmdGenerate(const Args &args)
 {
@@ -309,7 +377,6 @@ cmdCompress(const Args &args)
     options.base.method = parseMethod(args.get("method", "gobo"));
     options.base.outlierThreshold = std::stod(
         args.get("threshold", "-4"));
-    options.threads = std::stoul(args.get("threads", "1"));
 
     BertModel model = loadModel(in);
     WallTimer timer;
@@ -349,8 +416,7 @@ cmdDecompress(const Args &args)
     std::string out = args.get("out", "");
     if (out.empty())
         usage("decompress needs --out");
-    BertModel model = loadCompressedModel(in);
-    saveModel(out, model);
+    saveModel(out, loadCompressedModel(in).dequantize());
     std::printf("decoded %s -> %s (%.2f MiB FP32)\n", in.c_str(),
                 out.c_str(), toMiB(std::filesystem::file_size(out)));
     return 0;
@@ -362,22 +428,8 @@ cmdInspect(const Args &args)
     if (args.positional.empty())
         usage("inspect needs a file");
     std::string path = args.positional[0];
-    std::ifstream is(path, std::ios::binary);
-    fatalIf(!is, "cannot open ", path);
-    char magic[5] = {};
-    is.read(magic, 4);
-    fatalIf(!is, "cannot read ", path);
-    is.close();
-
-    // Magic words are written as little-endian u32, so the bytes on
-    // disk read "MBOG" (FP32 model) or "CBOG" (compressed container).
-    bool is_container = std::memcmp(magic, "CBOG", 4) == 0;
-    bool is_model = std::memcmp(magic, "MBOG", 4) == 0;
-    fatalIf(!is_container && !is_model, path,
-            " is neither a GOBM model nor a GOBC container");
-
-    BertModel model = is_container ? loadCompressedModel(path)
-                                   : loadModel(path);
+    bool is_container = isContainer(path);
+    BertModel model = loadFp32(path);
     const auto &cfg = model.config();
     std::printf("%s: %s (%s)\n", path.c_str(),
                 is_container ? "GOBC compressed container"
@@ -405,26 +457,7 @@ cmdInfer(const Args &args)
         usage("infer needs a model file");
     std::string path = args.positional[0];
 
-    // Execution backend flags.
-    std::size_t threads = std::stoul(args.get("threads", "0"));
-    std::string backend = args.get("backend", "parallel");
-    ExecContext ctx;
-    if (backend == "serial")
-        ctx = ExecContext::serial();
-    else if (backend == "parallel")
-        ctx = ExecContext::parallel(threads);
-    else
-        usage(("unknown backend: " + backend).c_str());
-
-    // SIMD kernel tier. Default: whatever the process resolved (cpuid
-    // best, or GOBO_KERNEL — so the env override must not be shadowed
-    // by pinning "native" here); an explicit flag pins this run's
-    // context, fatal on a tier the CPU cannot run.
-    const KernelSet &kernels = args.has("kernel")
-                                   ? kernelsByName(args.get("kernel", ""))
-                                   : activeKernels();
-    ctx.kernels = &kernels;
-
+    ExecContext ctx = execContextFromFlags(args);
     auto batch_size = std::stoul(args.get("batch", "8"));
     auto seq_len = std::stoul(args.get("seq-len", "32"));
     std::uint64_t seed = parseU64Flag(args, "seed", "42");
@@ -458,49 +491,30 @@ cmdInfer(const Args &args)
             pmu->attachWorkers(ThreadPool::shared().workerThreadIds());
     }
 
-    std::ifstream is(path, std::ios::binary);
-    fatalIf(!is, "cannot open ", path);
-    char magic[5] = {};
-    is.read(magic, 4);
-    fatalIf(!is, "cannot read ", path);
-    is.close();
-    bool is_container = std::memcmp(magic, "CBOG", 4) == 0;
-    BertModel model = is_container ? loadCompressedModel(path)
-                                   : loadModel(path);
-    fatalIf(seq_len > model.config().maxPosition, "seq-len ", seq_len,
-            " exceeds maxPosition ", model.config().maxPosition);
+    InferenceSession session = openSession(path, engine, ctx);
+    const ModelConfig &cfg = session.config();
+    fatalIf(seq_len > cfg.maxPosition, "seq-len ", seq_len,
+            " exceeds maxPosition ", cfg.maxPosition);
 
     Rng rng(seed * 31 + 5);
     TokenBatch batch;
     for (std::size_t s = 0; s < batch_size; ++s) {
         std::vector<std::int32_t> seq;
         for (std::size_t t = 0; t < seq_len; ++t)
-            seq.push_back(static_cast<std::int32_t>(rng.integer(
-                0,
-                static_cast<int>(model.config().vocabSize) - 1)));
+            seq.push_back(static_cast<std::int32_t>(
+                rng.integer(0, static_cast<int>(cfg.vocabSize) - 1)));
         batch.push_back(std::move(seq));
-    }
-
-    std::optional<InferenceSession> session;
-    if (engine == "qexec") {
-        ModelQuantOptions qopt;
-        qopt.threads = ctx.isParallel() ? ctx.threads : 1;
-        session.emplace(QuantizedBertModel(model, qopt), ctx);
-    } else if (engine == "fp32") {
-        session.emplace(std::move(model), ctx);
-    } else {
-        usage(("unknown engine: " + engine).c_str());
     }
 
     std::printf("%s engine (%s weights, %.1f KiB resident), %s backend"
                 " (%zu threads), %s kernels, batch %zu x %zu tokens\n",
                 engine.c_str(),
                 engine == "qexec" ? "packed" : "fp32",
-                toKiB(session->residentWeightBytes()),
-                backendName(ctx.backend), ctx.threads, kernels.name,
+                toKiB(session.residentWeightBytes()),
+                backendName(ctx.backend), ctx.threads, ctx.kernels->name,
                 batch_size, seq_len);
     WallTimer timer;
-    auto logits = session->headLogitsBatch(batch);
+    auto logits = session.headLogitsBatch(batch);
     double secs = timer.seconds();
 
     for (std::size_t i = 0; i < logits.size(); ++i) {
@@ -596,17 +610,9 @@ cmdAudit(const Args &args)
         opt.pmu = &*pmu;
     }
 
-    std::ifstream is(path, std::ios::binary);
-    fatalIf(!is, "cannot open ", path);
-    char magic[5] = {};
-    is.read(magic, 4);
-    fatalIf(!is, "cannot read ", path);
-    is.close();
     // A container decodes to FP32 first; the audit then measures its
     // re-quantization under the requested settings.
-    bool is_container = std::memcmp(magic, "CBOG", 4) == 0;
-    BertModel model = is_container ? loadCompressedModel(path)
-                                   : loadModel(path);
+    BertModel model = loadFp32(path);
 
     WallTimer timer;
     AuditReport report = auditModel(model, opt);
@@ -649,23 +655,7 @@ runServeStack(const Args &args, Observer *obs, ServeOptions &sopt,
     if (!spec)
         usage(("invalid trace spec: " + spec_text).c_str());
 
-    // Execution stack flags, same shape as infer. Serving defaults to
-    // the compressed-domain engine on packed weights — the
-    // configuration the paper's latency story is about.
-    std::size_t threads =
-        static_cast<std::size_t>(parseU64Flag(args, "threads", "0"));
-    std::string backend = args.get("backend", "parallel");
-    ExecContext ctx;
-    if (backend == "serial")
-        ctx = ExecContext::serial();
-    else if (backend == "parallel")
-        ctx = ExecContext::parallel(threads);
-    else
-        usage(("unknown backend: " + backend).c_str());
-    const KernelSet &kernels = args.has("kernel")
-                                   ? kernelsByName(args.get("kernel", ""))
-                                   : activeKernels();
-    ctx.kernels = &kernels;
+    ExecContext ctx = execContextFromFlags(args);
 
     sopt.maxQueue =
         static_cast<std::size_t>(parseU64Flag(args, "max-queue", "256"));
@@ -689,35 +679,17 @@ runServeStack(const Args &args, Observer *obs, ServeOptions &sopt,
         sopt.obs = obs;
     }
 
-    std::ifstream is(path, std::ios::binary);
-    fatalIf(!is, "cannot open ", path);
-    char magic[5] = {};
-    is.read(magic, 4);
-    fatalIf(!is, "cannot read ", path);
-    is.close();
-    bool is_container = std::memcmp(magic, "CBOG", 4) == 0;
-    BertModel model = is_container ? loadCompressedModel(path)
-                                   : loadModel(path);
-    fatalIf(spec->maxLen > model.config().maxPosition,
-            "trace len max ", spec->maxLen, " exceeds maxPosition ",
-            model.config().maxPosition);
-
-    auto trace = generateTrace(*spec, model.config().vocabSize);
-
+    // Serving defaults to the compressed-domain engine on packed
+    // weights — the configuration the paper's latency story is about.
     std::string engine = args.get("engine", "qexec");
-    std::optional<InferenceSession> session;
-    if (engine == "qexec") {
-        ModelQuantOptions qopt;
-        qopt.threads = ctx.isParallel() ? ctx.threads : 1;
-        session.emplace(QuantizedBertModel(model, qopt), ctx);
-    } else if (engine == "fp32") {
-        session.emplace(std::move(model), ctx);
-    } else {
-        usage(("unknown engine: " + engine).c_str());
-    }
+    InferenceSession session = openSession(path, engine, ctx);
+    const ModelConfig &cfg = session.config();
+    fatalIf(spec->maxLen > cfg.maxPosition, "trace len max ",
+            spec->maxLen, " exceeds maxPosition ", cfg.maxPosition);
+    auto trace = generateTrace(*spec, cfg.vocabSize);
 
     meta.trace = traceSpecString(*spec);
-    meta.kernelTier = kernels.name;
+    meta.kernelTier = ctx.kernels->name;
     meta.threads = ctx.threads;
     meta.engine = engine;
     meta.format = engine == "qexec" ? "packed" : "fp32";
@@ -726,9 +698,9 @@ runServeStack(const Args &args, Observer *obs, ServeOptions &sopt,
     std::printf("%s engine (%s weights), %s backend (%zu threads), %s"
                 " kernels\n",
                 engine.c_str(), meta.format.c_str(),
-                backendName(ctx.backend), ctx.threads, kernels.name);
+                backendName(ctx.backend), ctx.threads, ctx.kernels->name);
 
-    ServeServer server(*session, sopt);
+    ServeServer server(session, sopt);
     // Hand the caller the options the server resolved (tileLanes
     // defaults to the kernel tier's seqTile) so the JSON stamp
     // records the real geometry.
@@ -910,8 +882,7 @@ findCommand(const std::string &name)
     static const Command commands[] = {
         {"generate", cmdGenerate, {"family", "scale", "seed", "out"}},
         {"compress", cmdCompress,
-         {"out", "bits", "embedding-bits", "method", "threshold",
-          "threads"}},
+         {"out", "bits", "embedding-bits", "method", "threshold"}},
         {"decompress", cmdDecompress, {"out"}},
         {"inspect", cmdInspect, {}},
         {"infer", cmdInfer,
